@@ -12,20 +12,20 @@ namespace pivot {
 
 // Party-local view of the party mesh — the transport abstraction every
 // protocol layer (MPC engine, conversions, trainer, serving) is written
-// against. Two backends implement it:
+// against. Its implementation is ReliableEndpoint (net/channel.h), the
+// one reliable-channel core, over one of two carriers:
 //
-//   InMemoryEndpoint (net/network.h)  all m parties as threads of one
-//                                     process, connected through FIFO
-//                                     queues — the default for tests,
-//                                     benches, and single-machine runs.
-//   SocketEndpoint   (net/socket.h)   one party per process, connected
-//                                     through real TCP or Unix-domain
-//                                     sockets with heartbeats, reconnect
-//                                     and crash-resume supervision.
+//   InMemoryNetwork (net/network.h)  all m parties as threads of one
+//                                    process, connected through FIFO
+//                                    queues — the default for tests,
+//                                    benches, and single-machine runs.
+//   SocketNetwork   (net/socket.h)   one party per process, connected
+//                                    through real TCP or Unix-domain
+//                                    sockets with heartbeats, reconnect
+//                                    and crash-resume supervision.
 //
-// Both speak the same reliable frame format (net/wire.h), so a protocol
-// run is bit-identical across backends. An Endpoint is thread-compatible:
-// owned and driven by a single party thread.
+// A protocol run is therefore bit-identical across backends. An Endpoint
+// is thread-compatible: owned and driven by a single party thread.
 //
 // Traffic counters are *logical* (application payloads, not frame headers
 // or retransmissions) so the paper's communication-cost accounting is
@@ -41,18 +41,16 @@ class Endpoint {
 
   // Point-to-point send (to != id()). Fails once the mesh has aborted or
   // an injected fault has crashed this party, so send-only loops also
-  // terminate promptly. In reliable mode the payload is framed
-  // (seq + CRC32) and buffered for retransmission, and pending NACKs
-  // from peers are serviced first.
+  // terminate promptly. The payload is framed (seq + CRC32) and buffered
+  // for retransmission, and pending NACKs from peers are serviced first.
   [[nodiscard]] virtual Status Send(int to, Bytes msg) = 0;
 
-  // Blocking receive of the next message from `from`. In reliable mode
-  // this delivers exactly the next in-sequence payload, masking
-  // duplicate/dropped/damaged frames via suppression and NACK-triggered
-  // retransmission. Timeout errors name the channel (sender, receiver,
-  // elapsed ms, queue depth) and, on the socket backend, the peer's
-  // liveness (connection state, last-heartbeat age). Abort errors name
-  // the originating party.
+  // Blocking receive of the next message from `from`. Delivers exactly
+  // the next in-sequence payload, masking duplicate/dropped/damaged
+  // frames via suppression and NACK-triggered retransmission. Timeout
+  // errors name the channel (sender, receiver, elapsed ms, queue depth)
+  // and, on the socket backend, the peer's liveness (connection state,
+  // last-heartbeat age). Abort errors name the originating party.
   virtual Result<Bytes> Recv(int from) = 0;
 
   // Sends `msg` to every other party.
@@ -74,7 +72,7 @@ class Endpoint {
   uint64_t messages_received() const {
     return messages_received_.load(std::memory_order_relaxed);
   }
-  // Reliability-layer counters (zero in raw mode).
+  // Reliability-layer counters.
   uint64_t retransmits() const {
     return retransmits_.load(std::memory_order_relaxed);
   }
@@ -122,24 +120,6 @@ class Endpoint {
     corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
   }
   void CountNack() { nacks_sent_.fetch_add(1, std::memory_order_relaxed); }
-
-  // Atomics are not movable; backends that store endpoints by value
-  // (InMemoryNetwork's vector) move them only before any party thread
-  // starts, so copying the counter values is safe.
-  void CopyCountersFrom(const Endpoint& other) {
-    in_send_phase_ = other.in_send_phase_;
-    bytes_sent_.store(other.bytes_sent(), std::memory_order_relaxed);
-    messages_sent_.store(other.messages_sent(), std::memory_order_relaxed);
-    bytes_received_.store(other.bytes_received(), std::memory_order_relaxed);
-    messages_received_.store(other.messages_received(),
-                             std::memory_order_relaxed);
-    rounds_.store(other.Rounds(), std::memory_order_relaxed);
-    retransmits_.store(other.retransmits(), std::memory_order_relaxed);
-    dup_suppressed_.store(other.duplicates_suppressed(),
-                          std::memory_order_relaxed);
-    corrupt_frames_.store(other.corrupt_frames(), std::memory_order_relaxed);
-    nacks_sent_.store(other.nacks_sent(), std::memory_order_relaxed);
-  }
 
  private:
   int id_;

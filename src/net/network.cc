@@ -2,135 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/op_counters.h"
-#include "net/wire.h"
 
 namespace pivot {
 
-namespace {
-
-// Control messages (separate mesh): [0] = type, then type-specific body.
-constexpr uint8_t kCtrlNack = 1;  // [1, 9) = little-endian frame seq
-constexpr size_t kCtrlNackSize = 9;
-
-// Reads an integer environment variable. Three outcomes: unset (OK,
-// *present = false), parsed (OK, *present = true, *out set), or malformed
-// — which is an error, because a typo'd override silently falling back to
-// the default is exactly the failure mode FromEnv exists to prevent.
-Status EnvInt(const char* name, int* out, bool* present) {
-  *present = false;
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return Status::Ok();
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') {
-    return Status::InvalidArgument(std::string(name) + "=\"" + v +
-                                   "\" is not an integer");
-  }
-  *out = static_cast<int>(parsed);
-  *present = true;
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status NetConfig::Validate() const {
-  const auto positive = [](const char* field, int value) -> Status {
-    if (value <= 0) {
-      return Status::InvalidArgument(
-          std::string("NetConfig: ") + field + " must be positive, got " +
-          std::to_string(value));
-    }
-    return Status::Ok();
-  };
-  PIVOT_RETURN_IF_ERROR(positive("recv_timeout_ms", recv_timeout_ms));
-  PIVOT_RETURN_IF_ERROR(positive("retry_budget", retry_budget));
-  PIVOT_RETURN_IF_ERROR(positive("backoff_base_ms", backoff_base_ms));
-  PIVOT_RETURN_IF_ERROR(positive("backoff_max_ms", backoff_max_ms));
-  PIVOT_RETURN_IF_ERROR(
-      positive("resend_buffer_frames", resend_buffer_frames));
-  if (backoff_max_ms < backoff_base_ms) {
-    return Status::InvalidArgument(
-        "NetConfig: backoff_max_ms (" + std::to_string(backoff_max_ms) +
-        ") must be >= backoff_base_ms (" + std::to_string(backoff_base_ms) +
-        ")");
-  }
-  return Status::Ok();
-}
-
-Result<NetConfig> NetConfig::FromEnv(NetConfig base) {
-  bool present = false;
-  PIVOT_RETURN_IF_ERROR(
-      EnvInt("PIVOT_NET_RECV_TIMEOUT_MS", &base.recv_timeout_ms, &present));
-  int reliable = base.reliable ? 1 : 0;
-  PIVOT_RETURN_IF_ERROR(EnvInt("PIVOT_NET_RELIABLE", &reliable, &present));
-  if (present) base.reliable = reliable != 0;
-  PIVOT_RETURN_IF_ERROR(
-      EnvInt("PIVOT_NET_RETRY_BUDGET", &base.retry_budget, &present));
-  PIVOT_RETURN_IF_ERROR(
-      EnvInt("PIVOT_NET_BACKOFF_BASE_MS", &base.backoff_base_ms, &present));
-  PIVOT_RETURN_IF_ERROR(
-      EnvInt("PIVOT_NET_BACKOFF_MAX_MS", &base.backoff_max_ms, &present));
-  PIVOT_RETURN_IF_ERROR(
-      EnvInt("PIVOT_NET_RESEND_FRAMES", &base.resend_buffer_frames, &present));
-  PIVOT_RETURN_IF_ERROR(base.Validate());
-  return base;
-}
-
-Result<NetConfig> NetConfig::FromEnv() { return FromEnv(NetConfig()); }
-
-void MessageQueue::Push(Bytes msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(msg));
-  }
-  cv_.notify_one();
-}
-
-Result<Bytes> MessageQueue::Pop(int timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                    [this] { return poisoned_ || !queue_.empty(); })) {
-    return Status::ProtocolError("receive timed out");
-  }
-  // Poison wins over queued data: once the mesh is aborting, stale
-  // messages must not be consumed as progress.
-  if (poisoned_) return poison_status_;
-  Bytes msg = std::move(queue_.front());
-  queue_.pop_front();
-  return msg;
-}
-
-bool MessageQueue::TryPop(Bytes* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (poisoned_ || queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
-}
-
-void MessageQueue::Poison(const Status& status) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    poisoned_ = true;
-    poison_status_ = status;
-  }
-  cv_.notify_all();
-}
-
-size_t MessageQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+void NetworkStats::Add(const Endpoint& e) {
+  bytes_sent += e.bytes_sent();
+  bytes_received += e.bytes_received();
+  messages_sent += e.messages_sent();
+  messages_received += e.messages_received();
+  rounds = std::max(rounds, e.Rounds());
+  retransmits += e.retransmits();
+  duplicates_suppressed += e.duplicates_suppressed();
+  corrupt_frames += e.corrupt_frames();
+  nacks_sent += e.nacks_sent();
 }
 
 InMemoryNetwork::InMemoryNetwork(int num_parties, NetConfig config,
                                  NetworkSim sim)
-    : num_parties_(num_parties), config_(config), sim_(sim) {
+    : ChannelCarrier(config), num_parties_(num_parties), sim_(sim) {
   PIVOT_CHECK_MSG(num_parties >= 1, "network needs at least one party");
   const int n = num_parties * num_parties;
   queues_.reserve(n);
@@ -141,7 +34,8 @@ InMemoryNetwork::InMemoryNetwork(int num_parties, NetConfig config,
   }
   endpoints_.reserve(num_parties);
   for (int i = 0; i < num_parties; ++i) {
-    endpoints_.push_back(InMemoryEndpoint(this, i, num_parties));
+    endpoints_.push_back(
+        std::make_unique<ReliableEndpoint>(this, i, num_parties));
   }
 }
 
@@ -156,401 +50,53 @@ InMemoryNetwork::InMemoryNetwork(int num_parties, int recv_timeout_ms,
           }(),
           sim) {}
 
-InMemoryEndpoint& InMemoryNetwork::endpoint(int i) {
+ReliableEndpoint& InMemoryNetwork::endpoint(int i) {
   PIVOT_CHECK(i >= 0 && i < num_parties_);
-  return endpoints_[i];
+  return *endpoints_[i];
 }
 
 void InMemoryNetwork::Abort(Status cause, int origin_party) {
-  Status recorded;
-  {
-    std::lock_guard<std::mutex> lock(abort_mu_);
-    if (aborted_.load(std::memory_order_relaxed)) return;  // first wins
-    abort_status_ = Status::Aborted(
-        "protocol aborted by party " + std::to_string(origin_party) + ": " +
-        cause.ToString());
-    recorded = abort_status_;
-    aborted_.store(true, std::memory_order_release);
-  }
-  abort_cv_.notify_all();
+  const Status recorded = Status::Aborted(
+      "protocol aborted by party " + std::to_string(origin_party) + ": " +
+      cause.ToString());
+  if (!RecordAbort(recorded)) return;
   for (auto& q : queues_) q->Poison(recorded);
   for (auto& q : ctrl_queues_) q->Poison(recorded);
 }
 
-Status InMemoryNetwork::abort_status() const {
-  std::lock_guard<std::mutex> lock(abort_mu_);
-  return abort_status_;
-}
-
-bool InMemoryNetwork::WaitForAbortMs(int ms) {
-  std::unique_lock<std::mutex> lock(abort_mu_);
-  return abort_cv_.wait_for(
-      lock, std::chrono::milliseconds(ms),
-      [this] { return aborted_.load(std::memory_order_relaxed); });
-}
-
-void InMemoryNetwork::set_fault_plan(FaultPlan plan) {
-  if (plan.empty()) {
-    fault_plan_.reset();
-  } else {
-    fault_plan_ = std::make_unique<FaultPlan>(std::move(plan));
-  }
-}
-
-uint64_t InMemoryNetwork::total_bytes() const {
-  uint64_t total = 0;
-  for (const InMemoryEndpoint& e : endpoints_) total += e.bytes_sent();
-  return total;
-}
-
 NetworkStats InMemoryNetwork::stats() const {
   NetworkStats s;
-  for (const InMemoryEndpoint& e : endpoints_) {
-    s.bytes_sent += e.bytes_sent();
-    s.bytes_received += e.bytes_received();
-    s.messages_sent += e.messages_sent();
-    s.messages_received += e.messages_received();
-    s.rounds = std::max(s.rounds, e.Rounds());
-    s.retransmits += e.retransmits();
-    s.duplicates_suppressed += e.duplicates_suppressed();
-    s.corrupt_frames += e.corrupt_frames();
-    s.nacks_sent += e.nacks_sent();
-  }
+  for (const auto& e : endpoints_) s.Add(*e);
   return s;
 }
 
-Status InMemoryEndpoint::BeginOp() {
-  const FaultPlan* plan = net_->fault_plan();
-  if (plan != nullptr) {
-    const int idx = plan->MatchParty(id(), ops_++);
-    if (idx >= 0) {
-      const FaultAction& a = plan->actions()[idx];
-      net_->MarkFaultFired(idx);
-      if (a.kind == FaultKind::kCrash) {
-        // Sticky: every network op at or after the trigger fails.
-        if (crashed_at_ < 0) crashed_at_ = static_cast<int64_t>(a.nth);
-        return Status::ProtocolError(
-            "injected fault: party " + std::to_string(id()) +
-            " crashed at network op " + std::to_string(crashed_at_));
-      }
-      // kStall: sleep, but wake immediately if the mesh aborts meanwhile.
-      if (a.kind == FaultKind::kStall || a.kind == FaultKind::kDelay) {
-        if (net_->WaitForAbortMs(a.delay_ms)) return net_->abort_status();
-      }
-    }
+void InMemoryNetwork::DelaySend(size_t payload_bytes) {
+  if (!sim_.enabled()) return;
+  // Per-message latency + serialization time.
+  double micros = sim_.latency_us;
+  if (sim_.bandwidth_gbps > 0) {
+    micros += static_cast<double>(payload_bytes) * 8.0 /
+              (sim_.bandwidth_gbps * 1e3);
   }
-  if (net_->aborted()) return net_->abort_status();
-  return Status::Ok();
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(static_cast<int64_t>(micros)));
 }
 
-Status InMemoryEndpoint::Send(int to, Bytes msg) {
-  PIVOT_CHECK_MSG(to != id(), "self-send");
-  PIVOT_CHECK(to >= 0 && to < num_parties());
-  NoteSendPhase();
-  PIVOT_RETURN_IF_ERROR(BeginOp());
-  if (!net_->config_.reliable) return SendRaw(to, std::move(msg));
-  return SendReliable(to, std::move(msg));
-}
-
-Status InMemoryEndpoint::SendRaw(int to, Bytes msg) {
-  int copies = 1;
-  if (const FaultPlan* plan = net_->fault_plan()) {
-    const int idx = plan->MatchMessage(id(), to, send_seq_[to]);
-    if (idx >= 0) {
-      const FaultAction& a = plan->actions()[idx];
-      net_->MarkFaultFired(idx);
-      switch (a.kind) {
-        case FaultKind::kDrop:
-          copies = 0;
-          break;
-        case FaultKind::kDelay:
-          if (net_->WaitForAbortMs(a.delay_ms)) return net_->abort_status();
-          break;
-        case FaultKind::kDuplicate:
-          copies = 2;
-          break;
-        case FaultKind::kTruncate:
-          msg.resize(msg.size() / 2);
-          break;
-        case FaultKind::kCorrupt:
-          if (!msg.empty()) {
-            const uint64_t bit = a.bit % (msg.size() * 8);
-            msg[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-          }
-          break;
-        case FaultKind::kCrash:
-        case FaultKind::kStall:
-          break;  // party faults are handled in BeginOp
-        case FaultKind::kSever:
-        case FaultKind::kMute:
-          break;  // connection faults; no-ops on the in-memory mesh
-      }
-    }
-  }
-  ++send_seq_[to];
-  if (net_->sim_.enabled()) {
-    // Sender-side delay: per-message latency + serialization time.
-    double micros = net_->sim_.latency_us;
-    if (net_->sim_.bandwidth_gbps > 0) {
-      micros += static_cast<double>(msg.size()) * 8.0 /
-                (net_->sim_.bandwidth_gbps * 1e3);
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(micros)));
-  }
-  CountSend(msg.size());
-  OpCounters::Global().AddBytesSent(msg.size());
-  OpCounters::Global().AddMessage();
-  for (int c = 0; c < copies; ++c) {
-    net_->queue(id(), to).Push(c + 1 < copies ? msg : std::move(msg));
-  }
-  return Status::Ok();
-}
-
-Status InMemoryEndpoint::SendReliable(int to, Bytes msg) {
-  // Serve pending retransmission requests before advancing: a peer
-  // blocked on an earlier frame must not starve behind new traffic.
-  PIVOT_RETURN_IF_ERROR(ServiceControl());
-  const uint64_t seq = send_seq_[to]++;
-  const size_t payload_size = msg.size();
-  Bytes frame = BuildSeqFrame(seq, msg);
-  if (net_->sim_.enabled()) {
-    // Sender-side delay: per-message latency + serialization time.
-    double micros = net_->sim_.latency_us;
-    if (net_->sim_.bandwidth_gbps > 0) {
-      micros += static_cast<double>(payload_size) * 8.0 /
-                (net_->sim_.bandwidth_gbps * 1e3);
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(micros)));
-  }
-  // Counters track logical payloads only: retransmissions and frame
-  // headers are reliability overhead, not protocol communication cost.
-  CountSend(payload_size);
-  OpCounters::Global().AddBytesSent(payload_size);
-  OpCounters::Global().AddMessage();
-  // Keep the clean frame for retransmission before faults touch the wire
-  // copy; the window is bounded, oldest frame evicted first.
-  auto& window = resend_[to];
-  window.push_back(ResendEntry{seq, frame});
-  if (static_cast<int>(window.size()) > net_->config_.resend_buffer_frames) {
-    window.pop_front();
-  }
-  return PushFrameWithFaults(to, seq, std::move(frame), /*retransmit=*/false);
-}
-
-Status InMemoryEndpoint::PushFrameWithFaults(int to, uint64_t seq,
-                                             Bytes frame, bool retransmit) {
-  int copies = 1;
-  if (const FaultPlan* plan = net_->fault_plan()) {
-    const int idx = plan->MatchMessage(id(), to, seq, retransmit);
-    if (idx >= 0) {
-      const FaultAction& a = plan->actions()[idx];
-      net_->MarkFaultFired(idx);
-      switch (a.kind) {
-        case FaultKind::kDrop:
-          copies = 0;
-          break;
-        case FaultKind::kDelay:
-          if (net_->WaitForAbortMs(a.delay_ms)) return net_->abort_status();
-          break;
-        case FaultKind::kDuplicate:
-          copies = 2;
-          break;
-        case FaultKind::kTruncate:
-          frame.resize(frame.size() / 2);
-          break;
-        case FaultKind::kCorrupt: {
-          const uint64_t bit = a.bit % (frame.size() * 8);
-          frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-          break;
-        }
-        case FaultKind::kCrash:
-        case FaultKind::kStall:
-          break;  // party faults are handled in BeginOp
-        case FaultKind::kSever:
-        case FaultKind::kMute:
-          break;  // connection faults; no-ops on the in-memory mesh
-      }
-    }
-  }
-  for (int c = 0; c < copies; ++c) {
-    net_->queue(id(), to).Push(c + 1 < copies ? frame : std::move(frame));
-  }
-  return Status::Ok();
-}
-
-Status InMemoryEndpoint::ServiceControl() {
-  if (net_->aborted()) return net_->abort_status();
-  Bytes ctrl;
-  for (int p = 0; p < num_parties(); ++p) {
-    if (p == id()) continue;
-    while (net_->ctrl_queue(p, id()).TryPop(&ctrl)) {
-      if (ctrl.size() == kCtrlNackSize && ctrl[0] == kCtrlNack) {
-        PIVOT_RETURN_IF_ERROR(HandleNack(p, GetU64Le(ctrl.data() + 1)));
-      }
-      // Unknown control types are ignored (forward compatibility).
-    }
-  }
-  return Status::Ok();
-}
-
-Status InMemoryEndpoint::HandleNack(int peer, uint64_t seq) {
-  // A probe for a frame this party has not produced yet: the peer is
-  // ahead of us, not missing data. Nothing to do.
-  if (seq >= send_seq_[peer]) return Status::Ok();
-  for (const ResendEntry& e : resend_[peer]) {
-    if (e.seq == seq) {
-      CountRetransmit();
-      return PushFrameWithFaults(peer, seq, e.frame, /*retransmit=*/true);
-    }
-  }
-  // The frame was sent but has aged out of the bounded window: the loss
-  // is unrecoverable, so fail loudly instead of letting the peer starve.
-  return Status::ProtocolError(
-      "reliable channel: party " + std::to_string(id()) +
-      " cannot retransmit frame " + std::to_string(seq) + " to party " +
-      std::to_string(peer) + ": evicted from resend buffer (capacity " +
-      std::to_string(net_->config_.resend_buffer_frames) + ")");
-}
-
-void InMemoryEndpoint::SendNack(int to, uint64_t seq) {
-  Bytes ctrl(kCtrlNackSize);
-  ctrl[0] = kCtrlNack;
-  PutU64Le(ctrl.data() + 1, seq);
-  net_->ctrl_queue(id(), to).Push(std::move(ctrl));
-  CountNack();
-}
-
-Result<Bytes> InMemoryEndpoint::Recv(int from) {
-  PIVOT_CHECK_MSG(from != id(), "self-receive");
-  PIVOT_CHECK(from >= 0 && from < num_parties());
-  NoteRecvPhase();
-  PIVOT_RETURN_IF_ERROR(BeginOp());
-  if (!net_->config_.reliable) return RecvRaw(from);
-  return RecvReliable(from);
-}
-
-Result<Bytes> InMemoryEndpoint::RecvRaw(int from) {
-  const auto start = std::chrono::steady_clock::now();
-  MessageQueue& q = net_->queue(from, id());
-  Result<Bytes> r = q.Pop(net_->config_.recv_timeout_ms);
-  if (!r.ok()) {
-    if (r.status().code() == StatusCode::kAborted) return r.status();
-    const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start).count();
-    return Status::ProtocolError(
-        "receive from party " + std::to_string(from) + " timed out at party " +
-        std::to_string(id()) + " after " + std::to_string(elapsed_ms) +
-        " ms (" + std::to_string(recv_seq_[from]) +
-        " messages previously received on this channel, queue depth " +
-        std::to_string(q.depth()) + "; peer missing/deadlock?)");
-  }
-  ++recv_seq_[from];
-  CountRecv(r.value().size());
-  return r;
-}
-
-Result<Bytes> InMemoryEndpoint::RecvReliable(int from) {
-  const NetConfig& cfg = net_->config_;
-  MessageQueue& q = net_->queue(from, id());
-  const auto start = std::chrono::steady_clock::now();
-  const uint64_t expected = recv_seq_[from];
-  auto& stash = reorder_[from];
-  const auto deliver = [&](Bytes payload) -> Result<Bytes> {
-    ++recv_seq_[from];
-    CountRecv(payload.size());
-    return payload;
+Status RootCauseStatus(const std::vector<Status>& statuses) {
+  const auto prefixed = [&](size_t i) {
+    return Status(statuses[i].code(), "party " + std::to_string(i) + ": " +
+                                          statuses[i].message());
   };
-  // A retransmission triggered by an earlier gap may already be waiting.
-  {
-    const auto it = stash.find(expected);
-    if (it != stash.end()) {
-      Bytes payload = std::move(it->second);
-      stash.erase(it);
-      return deliver(std::move(payload));
+  // Prefer the root cause over abort echoes.
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (!statuses[i].ok() && statuses[i].code() != StatusCode::kAborted) {
+      return prefixed(i);
     }
   }
-  // Recovery loop, bounded two ways: evidence-backed NACKs (a damaged
-  // frame or a sequence gap) draw on cfg.retry_budget, and the overall
-  // cfg.recv_timeout_ms deadline covers a silent peer. Probe NACKs sent
-  // on silent slices are free — silence usually means the sender is
-  // still computing, and charging for it would abort healthy slow runs.
-  int evidence = 0;
-  int backoff_ms = cfg.backoff_base_ms;
-  for (;;) {
-    PIVOT_RETURN_IF_ERROR(ServiceControl());
-    const auto elapsed_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (elapsed_ms >= cfg.recv_timeout_ms) {
-      return Status::ProtocolError(
-          "receive from party " + std::to_string(from) +
-          " timed out at party " + std::to_string(id()) + " after " +
-          std::to_string(elapsed_ms) + " ms (" +
-          std::to_string(recv_seq_[from]) +
-          " messages previously received on this channel, queue depth " +
-          std::to_string(q.depth()) + "; peer missing/deadlock?)");
-    }
-    const int slice = static_cast<int>(std::min<int64_t>(
-        backoff_ms, cfg.recv_timeout_ms - elapsed_ms));
-    Result<Bytes> r = q.Pop(slice > 0 ? slice : 1);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kAborted) return r.status();
-      // Silent slice: probe for the expected frame (covers a dropped
-      // frame with no follow-up traffic) and back off deterministically.
-      SendNack(from, expected);
-      backoff_ms = std::min(backoff_ms * 2, cfg.backoff_max_ms);
-      continue;
-    }
-    backoff_ms = cfg.backoff_base_ms;  // channel is live again
-    uint64_t seq = 0;
-    Bytes payload;
-    if (!ParseSeqFrame(r.value(), &seq, &payload)) {
-      // Corrupted or truncated frame; its header cannot be trusted, so
-      // re-request the expected frame.
-      CountCorruptFrame();
-      if (++evidence > cfg.retry_budget) {
-        return Status::ProtocolError(
-            "retry budget exhausted receiving from party " +
-            std::to_string(from) + " at party " + std::to_string(id()) +
-            ": " + std::to_string(evidence) +
-            " loss events (damaged or missing frames) exceeded the budget "
-            "of " +
-            std::to_string(cfg.retry_budget) + " retransmission attempts");
-      }
-      SendNack(from, expected);
-      continue;
-    }
-    if (seq < expected) {
-      // Duplicate of an already-delivered frame (duplicate fault or a
-      // redundant retransmission).
-      CountDuplicate();
-      continue;
-    }
-    if (seq > expected) {
-      // Future frame: the expected one was lost in transit. Stash it and
-      // request the gap.
-      const bool inserted = stash.emplace(seq, std::move(payload)).second;
-      if (!inserted) {
-        CountDuplicate();
-        continue;
-      }
-      if (++evidence > cfg.retry_budget) {
-        return Status::ProtocolError(
-            "retry budget exhausted receiving from party " +
-            std::to_string(from) + " at party " + std::to_string(id()) +
-            ": " + std::to_string(evidence) +
-            " loss events (damaged or missing frames) exceeded the budget "
-            "of " +
-            std::to_string(cfg.retry_budget) + " retransmission attempts");
-      }
-      SendNack(from, expected);
-      continue;
-    }
-    return deliver(std::move(payload));
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (!statuses[i].ok()) return prefixed(i);
   }
+  return Status::Ok();
 }
 
 Status RunParties(InMemoryNetwork& net,
@@ -571,20 +117,7 @@ Status RunParties(InMemoryNetwork& net,
     });
   }
   for (std::thread& t : threads) t.join();
-  // Prefer the root cause over abort echoes.
-  for (int i = 0; i < m; ++i) {
-    if (!statuses[i].ok() && statuses[i].code() != StatusCode::kAborted) {
-      return Status(statuses[i].code(), "party " + std::to_string(i) + ": " +
-                                            statuses[i].message());
-    }
-  }
-  for (int i = 0; i < m; ++i) {
-    if (!statuses[i].ok()) {
-      return Status(statuses[i].code(), "party " + std::to_string(i) + ": " +
-                                            statuses[i].message());
-    }
-  }
-  return Status::Ok();
+  return RootCauseStatus(statuses);
 }
 
 }  // namespace pivot

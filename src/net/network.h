@@ -1,18 +1,16 @@
 #ifndef PIVOT_NET_NETWORK_H_
 #define PIVOT_NET_NETWORK_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "net/channel.h"
 #include "net/endpoint.h"
 #include "net/fault.h"
 
@@ -35,19 +33,12 @@ namespace pivot {
 // messages. Receives block until the peer's message arrives, with a
 // generous timeout so protocol bugs surface as errors instead of hangs.
 //
-// Reliable channels (DESIGN.md, "Fault model"): by default every logical
-// message travels inside a frame carrying a per-channel sequence number
-// and a CRC32 over the whole frame (net/wire.h). The receiver suppresses
-// duplicates, detects corruption/truncation, and NACKs missing or damaged
-// frames over a separate control mesh; the sender retransmits from a
-// bounded per-channel resend buffer. Transient faults (net/fault.h) are
-// therefore masked transparently; only a persistent fault — one that
-// damages every retransmission, or an evicted resend frame — escalates to
-// an error and from there to the security-with-abort path below.
-// NetConfig sets the recv timeout, retry budget, backoff shape, and
-// resend-buffer capacity; `reliable = false` restores the raw unframed
-// channel for tests that need faults to hit the application payload
-// directly.
+// Reliable channels (DESIGN.md, "Fault model"): the mesh is one of the
+// two carriers of the reliable-channel core (net/channel.h). It supplies
+// m^2 data queues and m^2 control queues (NACKs travel apart from the
+// data mesh, so retransmission requests can neither interleave with nor
+// be faulted like protocol payloads) and the optional NetworkSim delay;
+// framing, retransmission and fault injection live in ReliableEndpoint.
 //
 // Fault tolerance: the mesh implements security-with-abort. The first
 // party whose protocol body fails calls InMemoryNetwork::Abort, which
@@ -56,74 +47,6 @@ namespace pivot {
 // out the recv timeout. A deterministic FaultPlan (net/fault.h) can be
 // installed before the party threads start to inject message/party faults
 // for chaos testing.
-
-// Tunables of the reliable channel layer. Every field can be overridden
-// from the environment via FromEnv, so a failing chaos schedule can be
-// replayed with, say, a tighter retry budget without recompiling.
-struct NetConfig {
-  // Overall deadline for one blocking Recv. This is the last line of
-  // defence: a peer that is computing (not lost) can stay silent for a
-  // long time without burning retry budget, so the deadline has to cover
-  // the slowest legitimate gap between messages.
-  int recv_timeout_ms = 120'000;
-  // Frame + retransmit layer on/off. Off = PR-2 raw channels: faults hit
-  // the application payload and surface as protocol errors.
-  bool reliable = true;
-  // Maximum number of recovery attempts per blocking Recv that are backed
-  // by *evidence of loss* (a damaged frame or a sequence gap). Probe
-  // NACKs sent on silent slices do not count: silence usually means the
-  // peer is slow, not that the channel ate a frame. Exhaustion fails the
-  // Recv with a ProtocolError, which escalates to an abort.
-  int retry_budget = 8;
-  // Deterministic exponential backoff between receive slices: the wait
-  // doubles from base to max while the channel stays silent and resets
-  // whenever a frame arrives.
-  int backoff_base_ms = 10;
-  int backoff_max_ms = 1'000;
-  // Frames kept per directed channel for retransmission. A NACK for a
-  // frame older than this window is unrecoverable and aborts the run.
-  int resend_buffer_frames = 64;
-
-  // Returns `base` (default-constructed in the no-arg form) with any of
-  // PIVOT_NET_RECV_TIMEOUT_MS, PIVOT_NET_RELIABLE, PIVOT_NET_RETRY_BUDGET,
-  // PIVOT_NET_BACKOFF_BASE_MS, PIVOT_NET_BACKOFF_MAX_MS,
-  // PIVOT_NET_RESEND_FRAMES applied on top. An unparsable value (not an
-  // integer, or trailing junk) or a non-positive timeout/budget/capacity
-  // fails with InvalidArgument naming the offending variable: a typo'd
-  // override must stop the run, not silently fall back to defaults.
-  static Result<NetConfig> FromEnv(NetConfig base);
-  static Result<NetConfig> FromEnv();
-  // Validates the field ranges of an already-built config (FromEnv calls
-  // this; programmatic configs can too).
-  [[nodiscard]] Status Validate() const;
-};
-
-// One directed FIFO byte-message queue with blocking receive.
-class MessageQueue {
- public:
-  void Push(Bytes msg);
-  // Blocks until a message is available, the queue is poisoned, or the
-  // timeout elapses. A pending poison wins over queued data: once the
-  // mesh is aborting, stale messages must not be consumed as progress.
-  Result<Bytes> Pop(int timeout_ms);
-  // Non-blocking variant for the control mesh: dequeues into `out` and
-  // returns true when a message is available. Returns false on an empty
-  // or poisoned queue — control traffic is advisory, so once the mesh is
-  // aborting it is simply dropped.
-  bool TryPop(Bytes* out);
-
-  // Wakes all blocked Pop calls with `status` and fails future ones.
-  void Poison(const Status& status);
-
-  size_t depth() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Bytes> queue_;
-  bool poisoned_ = false;
-  Status poison_status_;
-};
 
 // Optional emulation of the paper's LAN testbed: a fixed per-message
 // latency plus a serialization delay proportional to message size. With
@@ -155,166 +78,71 @@ struct NetworkStats {
   uint64_t nacks_sent = 0;             // probes + evidence-backed NACKs
   uint64_t reconnects = 0;   // socket backend: successful re-dials
   uint64_t heartbeats = 0;   // socket backend: heartbeat frames sent
+
+  // Sums `e`'s counters in (rounds takes the maximum). Supervision
+  // counters are not endpoint counters and are left alone.
+  void Add(const Endpoint& e);
 };
 
-class InMemoryNetwork;
-
-// In-memory implementation of the Endpoint abstraction: Send pushes into
-// the mesh's FIFO queues, Recv pops with the reliable-channel recovery
-// loop on top. Thread-compatible: owned and used by a single party
-// thread.
-class InMemoryEndpoint : public Endpoint {
- public:
-  [[nodiscard]] Status Send(int to, Bytes msg) override;
-  Result<Bytes> Recv(int from) override;
-
-  // Endpoints live in InMemoryNetwork's vector; atomics are not movable,
-  // so moves (vector growth during construction) copy the counter values.
-  // Safe: endpoints are only moved before any party thread starts.
-  InMemoryEndpoint(InMemoryEndpoint&& other) noexcept
-      : Endpoint(other.id(), other.num_parties()),
-        net_(other.net_),
-        send_seq_(std::move(other.send_seq_)),
-        recv_seq_(std::move(other.recv_seq_)),
-        resend_(std::move(other.resend_)),
-        reorder_(std::move(other.reorder_)),
-        ops_(other.ops_),
-        crashed_at_(other.crashed_at_) {
-    CopyCountersFrom(other);
-  }
-
- private:
-  friend class InMemoryNetwork;
-  InMemoryEndpoint(InMemoryNetwork* net, int id, int num_parties)
-      : Endpoint(id, num_parties),
-        net_(net),
-        send_seq_(num_parties, 0),
-        recv_seq_(num_parties, 0),
-        resend_(num_parties),
-        reorder_(num_parties) {}
-
-  // A frame kept for retransmission: the clean framed bytes of logical
-  // message `seq` on one directed channel.
-  struct ResendEntry {
-    uint64_t seq = 0;
-    Bytes frame;
-  };
-
-  // Common prologue of Send/Recv: fires party faults (crash/stall) from
-  // the installed FaultPlan and fails fast once the mesh has aborted.
-  Status BeginOp();
-
-  // Raw (unreliable) channel bodies, used when !NetConfig::reliable.
-  Status SendRaw(int to, Bytes msg);
-  Result<Bytes> RecvRaw(int from);
-  // Reliable channel bodies.
-  Status SendReliable(int to, Bytes msg);
-  Result<Bytes> RecvReliable(int from);
-  // Drains pending NACKs from every peer's control queue and retransmits
-  // the requested frames. Called from Send and from each Recv slice so a
-  // party blocked in its own Recv still serves its peers.
-  Status ServiceControl();
-  Status HandleNack(int peer, uint64_t seq);
-  void SendNack(int to, uint64_t seq);
-  // Applies any scheduled message fault for (id -> to, seq) to the wire
-  // copy `frame` and pushes the surviving copies. `retransmit` restricts
-  // matching to fatal faults.
-  Status PushFrameWithFaults(int to, uint64_t seq, Bytes frame,
-                             bool retransmit);
-
-  InMemoryNetwork* net_;
-  // Per-channel logical message indices and the party-local op counter
-  // that fault schedules key on. Plain members: touched only by the
-  // owning party thread.
-  std::vector<uint64_t> send_seq_;
-  std::vector<uint64_t> recv_seq_;
-  // Per-peer bounded resend window (clean frames, ascending seq) and
-  // receiver-side reorder stash (payloads arrived ahead of the expected
-  // sequence number). Plain members: only the owning party thread
-  // touches them.
-  std::vector<std::deque<ResendEntry>> resend_;
-  std::vector<std::map<uint64_t, Bytes>> reorder_;
-  uint64_t ops_ = 0;
-  int64_t crashed_at_ = -1;
-};
-
-class InMemoryNetwork {
+class InMemoryNetwork : public ChannelCarrier {
  public:
   explicit InMemoryNetwork(int num_parties, NetConfig config = NetConfig(),
                            NetworkSim sim = NetworkSim());
-  // Legacy convenience: reliable channels with an explicit recv timeout.
+  // Legacy convenience: default channel tunables with an explicit recv
+  // timeout.
   InMemoryNetwork(int num_parties, int recv_timeout_ms,
                   NetworkSim sim = NetworkSim());
 
-  InMemoryNetwork(const InMemoryNetwork&) = delete;
-  InMemoryNetwork& operator=(const InMemoryNetwork&) = delete;
-
   int num_parties() const { return num_parties_; }
-  const NetConfig& config() const { return config_; }
-  InMemoryEndpoint& endpoint(int i);
+  ReliableEndpoint& endpoint(int i);
 
   // Network-wide abort (security-with-abort): records `cause` as coming
   // from `origin_party` and poisons every queue so all blocked receives
   // wake immediately. First caller wins; later calls are no-ops.
   void Abort(Status cause, int origin_party);
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-  // The recorded abort status (kAborted naming the origin), or OK.
-  Status abort_status() const;
-  // Sleeps up to `ms`, waking early if the mesh aborts. Returns true if
-  // an abort interrupted (or preceded) the wait. Used for injected
-  // delays/stalls so simulated latency cannot outlive an abort.
-  bool WaitForAbortMs(int ms);
-
-  // Installs a fault-injection plan. Must be called before party threads
-  // start; ignored (kept empty) when `plan` has no actions.
-  void set_fault_plan(FaultPlan plan);
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
-  // Bitmask over plan action indices that fired at least once.
-  uint64_t fired_fault_mask() const {
-    return fired_.load(std::memory_order_relaxed);
-  }
 
   // Total bytes sent across all endpoints.
-  uint64_t total_bytes() const;
+  uint64_t total_bytes() const { return stats().bytes_sent; }
   // Aggregate traffic counters; rounds is the per-party maximum.
   NetworkStats stats() const;
 
  private:
-  friend class InMemoryEndpoint;
-  MessageQueue& queue(int from, int to) {
+  // Directed queue pair from -> to: protocol frames, and the NACKs that
+  // travel beside them.
+  MessageQueue& InboundData(int from, int to) override {
     return *queues_[static_cast<size_t>(from) * num_parties_ + to];
   }
-  // Control channel carrying NACK frames from -> to, kept separate from
-  // the data mesh so retransmission requests cannot interleave with (or
-  // be faulted like) protocol payloads.
-  MessageQueue& ctrl_queue(int from, int to) {
+  MessageQueue& InboundNacks(int from, int to) override {
     return *ctrl_queues_[static_cast<size_t>(from) * num_parties_ + to];
   }
-  void MarkFaultFired(int action_index) {
-    fired_.fetch_or(uint64_t{1} << (action_index & 63),
-                    std::memory_order_relaxed);
+  void PushData(int from, int to, Bytes frame) override {
+    InboundData(from, to).Push(std::move(frame));
+  }
+  void PushNack(int from, int to, Bytes body) override {
+    InboundNacks(from, to).Push(std::move(body));
+  }
+  void DelaySend(size_t payload_bytes) override;
+  std::string DiagnosePeer(int peer) const override {
+    (void)peer;
+    return "peer missing/deadlock?";
   }
 
   int num_parties_;
-  NetConfig config_;
   NetworkSim sim_;
-  std::vector<std::unique_ptr<MessageQueue>> queues_;       // [from * m + to]
-  std::vector<std::unique_ptr<MessageQueue>> ctrl_queues_;  // [from * m + to]
-  std::vector<InMemoryEndpoint> endpoints_;
-  std::unique_ptr<FaultPlan> fault_plan_;
-
-  std::atomic<bool> aborted_{false};
-  std::atomic<uint64_t> fired_{0};
-  mutable std::mutex abort_mu_;
-  std::condition_variable abort_cv_;
-  Status abort_status_;
+  std::vector<std::unique_ptr<MessageQueue>> queues_;
+  std::vector<std::unique_ptr<MessageQueue>> ctrl_queues_;
+  std::vector<std::unique_ptr<ReliableEndpoint>> endpoints_;
 };
+
+// The status a party harness reports for per-party `statuses`: the first
+// non-OK, non-kAborted status by party id (the root cause), otherwise the
+// first abort echo, each prefixed with the failing party's id; OK when
+// every party succeeded.
+Status RootCauseStatus(const std::vector<Status>& statuses);
 
 // Runs `body(party_id, endpoint)` on one thread per party and joins them.
 // The first party to fail aborts the mesh so peers exit promptly instead
-// of timing out. Returns the root-cause status when one exists (the first
-// non-OK, non-kAborted status by party id), otherwise the first abort
-// echo, each prefixed with the failing party's id.
+// of timing out. Returns RootCauseStatus over the parties' statuses.
 Status RunParties(InMemoryNetwork& net,
                   const std::function<Status(int, Endpoint&)>& body);
 

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/op_counters.h"
 
 namespace pivot {
 
@@ -154,13 +153,15 @@ int64_t SocketNetwork::NowMs() { return SteadyNowMs(); }
 
 SocketNetwork::SocketNetwork(int party_id, int num_parties,
                              SocketOptions options)
-    : party_id_(party_id), num_parties_(num_parties),
+    : ChannelCarrier(options.net),
+      party_id_(party_id),
+      num_parties_(num_parties),
       options_(std::move(options)) {
   PIVOT_CHECK_MSG(num_parties >= 1, "network needs at least one party");
   PIVOT_CHECK(party_id >= 0 && party_id < num_parties);
   incarnation_ =
       options_.incarnation != 0 ? options_.incarnation : NextIncarnation();
-  endpoint_.reset(new SocketEndpoint(this, party_id, num_parties));
+  endpoint_ = std::make_unique<ReliableEndpoint>(this, party_id, num_parties);
   links_.reserve(num_parties);
   data_in_.reserve(num_parties);
   ctrl_in_.reserve(num_parties);
@@ -674,10 +675,10 @@ void SocketNetwork::ReceiverLoop(int peer, LinkGen* gen) {
 void SocketNetwork::DispatchFrame(int peer, StreamFrame frame) {
   switch (static_cast<StreamFrameType>(frame.type)) {
     case StreamFrameType::kData:
-      data_in(peer).Push(std::move(frame.body));
+      data_in_[peer]->Push(std::move(frame.body));
       break;
     case StreamFrameType::kNack:
-      ctrl_in(peer).Push(std::move(frame.body));
+      ctrl_in_[peer]->Push(std::move(frame.body));
       break;
     case StreamFrameType::kHeartbeat:
       break;  // NoteHeard already refreshed liveness
@@ -714,34 +715,19 @@ void SocketNetwork::SupervisorLoop() {
   }
 }
 
-bool SocketNetwork::LocalAbortInternal(Status recorded) {
-  {
-    std::lock_guard<std::mutex> lock(abort_mu_);
-    if (aborted_.load(std::memory_order_relaxed)) return false;  // first wins
-    abort_status_ = std::move(recorded);
-    aborted_.store(true, std::memory_order_release);
-  }
-  abort_cv_.notify_all();
+bool SocketNetwork::LocalAbort(const Status& recorded) {
+  if (!RecordAbort(recorded)) return false;
   conn_cv_.notify_all();
-  Status poison;
-  {
-    std::lock_guard<std::mutex> lock(abort_mu_);
-    poison = abort_status_;
-  }
-  for (auto& q : data_in_) q->Poison(poison);
-  for (auto& q : ctrl_in_) q->Poison(poison);
+  for (auto& q : data_in_) q->Poison(recorded);
+  for (auto& q : ctrl_in_) q->Poison(recorded);
   return true;
-}
-
-void SocketNetwork::LocalAbort(Status recorded) {
-  LocalAbortInternal(std::move(recorded));
 }
 
 void SocketNetwork::Abort(Status cause, int origin_party) {
   const Status recorded = Status::Aborted(
       "protocol aborted by party " + std::to_string(origin_party) + ": " +
       cause.ToString());
-  if (!LocalAbortInternal(recorded)) return;
+  if (!LocalAbort(recorded)) return;
   // Best-effort notice so peers blocked in Recv wake immediately instead
   // of waiting out their timeout. Only the originating party broadcasts;
   // received aborts are effects, not causes.
@@ -758,38 +744,9 @@ void SocketNetwork::Abort(Status cause, int origin_party) {
   }
 }
 
-Status SocketNetwork::abort_status() const {
-  std::lock_guard<std::mutex> lock(abort_mu_);
-  return abort_status_;
-}
-
-bool SocketNetwork::WaitForAbortMs(int ms) {
-  std::unique_lock<std::mutex> lock(abort_mu_);
-  return abort_cv_.wait_for(lock, std::chrono::milliseconds(ms), [this] {
-    return aborted_.load(std::memory_order_relaxed);
-  });
-}
-
-void SocketNetwork::set_fault_plan(FaultPlan plan) {
-  if (plan.empty()) {
-    fault_plan_.reset();
-  } else {
-    fault_plan_ = std::make_unique<FaultPlan>(std::move(plan));
-  }
-}
-
 NetworkStats SocketNetwork::stats() const {
   NetworkStats s;
-  const SocketEndpoint& e = *endpoint_;
-  s.bytes_sent = e.bytes_sent();
-  s.bytes_received = e.bytes_received();
-  s.messages_sent = e.messages_sent();
-  s.messages_received = e.messages_received();
-  s.rounds = e.Rounds();
-  s.retransmits = e.retransmits();
-  s.duplicates_suppressed = e.duplicates_suppressed();
-  s.corrupt_frames = e.corrupt_frames();
-  s.nacks_sent = e.nacks_sent();
+  s.Add(*endpoint_);
   const int64_t now = NowMs();
   for (int p = 0; p < num_parties_; ++p) {
     if (p == party_id_) continue;
@@ -810,309 +767,35 @@ std::string SocketNetwork::DescribePeer(int peer) const {
   return out;
 }
 
-// ----- SocketEndpoint --------------------------------------------------
+// ----- carrier hooks ---------------------------------------------------
 
-Status SocketEndpoint::BeginOp() {
-  const FaultPlan* plan = net_->fault_plan();
-  if (plan != nullptr) {
-    const int idx = plan->MatchParty(id(), ops_++);
-    if (idx >= 0) {
-      const FaultAction& a = plan->actions()[idx];
-      net_->MarkFaultFired(idx);
-      if (a.kind == FaultKind::kCrash) {
-        // Sticky: every network op at or after the trigger fails.
-        if (crashed_at_ < 0) crashed_at_ = static_cast<int64_t>(a.nth);
-        return Status::ProtocolError(
-            "injected fault: party " + std::to_string(id()) +
-            " crashed at network op " + std::to_string(crashed_at_));
-      }
-      // kStall: sleep, but wake immediately if the mesh aborts meanwhile.
-      if (a.kind == FaultKind::kStall || a.kind == FaultKind::kDelay) {
-        if (net_->WaitForAbortMs(a.delay_ms)) return net_->abort_status();
-      }
-    }
-  }
-  if (net_->aborted()) return net_->abort_status();
-  return Status::Ok();
+void SocketNetwork::PushData(int from, int to, Bytes frame) {
+  (void)from;
+  EnqueueFrame(to, EncodeStreamFrame(StreamFrameType::kData, frame));
 }
 
-Status SocketEndpoint::Send(int to, Bytes msg) {
-  PIVOT_CHECK_MSG(to != id(), "self-send");
-  PIVOT_CHECK(to >= 0 && to < num_parties());
-  NoteSendPhase();
-  PIVOT_RETURN_IF_ERROR(BeginOp());
-  if (!net_->config().reliable) return SendRaw(to, std::move(msg));
-  return SendReliable(to, std::move(msg));
+void SocketNetwork::PushNack(int from, int to, Bytes body) {
+  (void)from;
+  EnqueueFrame(to, EncodeStreamFrame(StreamFrameType::kNack, body));
 }
 
-Status SocketEndpoint::SendRaw(int to, Bytes msg) {
-  const uint64_t seq = send_seq_[to]++;
-  CountSend(msg.size());
-  OpCounters::Global().AddBytesSent(msg.size());
-  OpCounters::Global().AddMessage();
-  return PushWireFrame(to, seq, std::move(msg), /*retransmit=*/false);
-}
-
-Status SocketEndpoint::SendReliable(int to, Bytes msg) {
-  // Serve pending retransmission requests before advancing: a peer
-  // blocked on an earlier frame must not starve behind new traffic.
-  PIVOT_RETURN_IF_ERROR(ServiceControl());
-  const uint64_t seq = send_seq_[to]++;
-  const size_t payload_size = msg.size();
-  Bytes frame = BuildSeqFrame(seq, msg);
-  // Counters track logical payloads only: retransmissions, frame headers
-  // and heartbeats are transport overhead, not protocol communication
-  // cost.
-  CountSend(payload_size);
-  OpCounters::Global().AddBytesSent(payload_size);
-  OpCounters::Global().AddMessage();
-  // Keep the clean frame for retransmission before faults touch the wire
-  // copy; the window is bounded, oldest frame evicted first.
-  auto& window = resend_[to];
-  window.push_back(ResendEntry{seq, frame});
-  if (static_cast<int>(window.size()) > net_->config().resend_buffer_frames) {
-    window.pop_front();
-  }
-  return PushWireFrame(to, seq, std::move(frame), /*retransmit=*/false);
-}
-
-Status SocketEndpoint::PushWireFrame(int to, uint64_t seq, Bytes frame,
-                                     bool retransmit) {
-  int copies = 1;
-  if (const FaultPlan* plan = net_->fault_plan()) {
-    const int idx = plan->MatchMessage(id(), to, seq, retransmit);
-    if (idx >= 0) {
-      const FaultAction& a = plan->actions()[idx];
-      net_->MarkFaultFired(idx);
-      switch (a.kind) {
-        case FaultKind::kDrop:
-          copies = 0;
-          break;
-        case FaultKind::kDelay:
-          if (net_->WaitForAbortMs(a.delay_ms)) return net_->abort_status();
-          break;
-        case FaultKind::kDuplicate:
-          copies = 2;
-          break;
-        case FaultKind::kTruncate:
-          frame.resize(frame.size() / 2);
-          break;
-        case FaultKind::kCorrupt:
-          if (!frame.empty()) {
-            const uint64_t bit = a.bit % (frame.size() * 8);
-            frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-          }
-          break;
-        case FaultKind::kCrash:
-        case FaultKind::kStall:
-          break;  // party faults are handled in BeginOp
-        case FaultKind::kSever:
-          // Cut the connection at this frame. Transient: the supervisor
-          // reconnects and NACK recovery refills the gap. Fatal:
-          // reconnection is refused, the budget exhausts, the run aborts.
-          if (a.fatal) {
-            net_->links_[to]->refuse_reconnect.store(
-                true, std::memory_order_release);
-          }
-          net_->SeverLink(
-              to, a.fatal
-                      ? "injected fault: connection severed (fatal: "
-                        "reconnection refused)"
-                      : "injected fault: connection severed");
-          break;
-        case FaultKind::kMute:
-          // Outbound traffic (heartbeats included) vanishes until the
-          // deadline; the peer's supervisor detects the silence.
-          net_->links_[to]->mute_until_ms.store(
-              SocketNetwork::NowMs() + a.delay_ms, std::memory_order_relaxed);
-          break;
-      }
+void SocketNetwork::ApplyLinkFault(int to, const FaultAction& action) {
+  PeerLink& link = *links_[to];
+  if (action.kind == FaultKind::kSever) {
+    // Cut the connection at this frame. Transient: the supervisor
+    // reconnects and NACK recovery refills the gap. Fatal: reconnection
+    // is refused, the budget exhausts, the run aborts.
+    if (action.fatal) {
+      link.refuse_reconnect.store(true, std::memory_order_release);
     }
-  }
-  for (int c = 0; c < copies; ++c) {
-    net_->EnqueueFrame(
-        to, EncodeStreamFrame(StreamFrameType::kData,
-                              c + 1 < copies ? frame : std::move(frame)));
-  }
-  return Status::Ok();
-}
-
-Status SocketEndpoint::ServiceControl() {
-  if (net_->aborted()) return net_->abort_status();
-  Bytes body;
-  for (int p = 0; p < num_parties(); ++p) {
-    if (p == id()) continue;
-    while (net_->ctrl_in(p).TryPop(&body)) {
-      Result<uint64_t> seq = DecodeNackBody(body);
-      if (seq.ok()) {
-        PIVOT_RETURN_IF_ERROR(HandleNack(p, seq.value()));
-      }
-      // Undecodable control bodies are ignored (forward compatibility).
-    }
-  }
-  return Status::Ok();
-}
-
-Status SocketEndpoint::HandleNack(int peer, uint64_t seq) {
-  // A probe for a frame this party has not produced yet: the peer is
-  // ahead of us, not missing data. Nothing to do.
-  if (seq >= send_seq_[peer]) return Status::Ok();
-  for (const ResendEntry& e : resend_[peer]) {
-    if (e.seq == seq) {
-      CountRetransmit();
-      return PushWireFrame(peer, seq, e.frame, /*retransmit=*/true);
-    }
-  }
-  // The frame was sent but has aged out of the bounded window: the loss
-  // is unrecoverable, so fail loudly instead of letting the peer starve.
-  return Status::ProtocolError(
-      "reliable channel: party " + std::to_string(id()) +
-      " cannot retransmit frame " + std::to_string(seq) + " to party " +
-      std::to_string(peer) + ": evicted from resend buffer (capacity " +
-      std::to_string(net_->config().resend_buffer_frames) + ")");
-}
-
-void SocketEndpoint::SendNack(int to, uint64_t seq) {
-  net_->EnqueueFrame(
-      to, EncodeStreamFrame(StreamFrameType::kNack, EncodeNackBody(seq)));
-  CountNack();
-}
-
-Result<Bytes> SocketEndpoint::Recv(int from) {
-  PIVOT_CHECK_MSG(from != id(), "self-receive");
-  PIVOT_CHECK(from >= 0 && from < num_parties());
-  NoteRecvPhase();
-  PIVOT_RETURN_IF_ERROR(BeginOp());
-  if (!net_->config().reliable) return RecvRaw(from);
-  return RecvReliable(from);
-}
-
-Result<Bytes> SocketEndpoint::RecvRaw(int from) {
-  const auto start = std::chrono::steady_clock::now();
-  MessageQueue& q = net_->data_in(from);
-  Result<Bytes> r = q.Pop(net_->config().recv_timeout_ms);
-  if (!r.ok()) {
-    if (r.status().code() == StatusCode::kAborted) return r.status();
-    const auto elapsed_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return Status::ProtocolError(
-        "receive from party " + std::to_string(from) + " timed out at party " +
-        std::to_string(id()) + " after " + std::to_string(elapsed_ms) +
-        " ms (" + std::to_string(recv_seq_[from]) +
-        " messages previously received on this channel, queue depth " +
-        std::to_string(q.depth()) + "; " + net_->DescribePeer(from) + ")");
-  }
-  ++recv_seq_[from];
-  CountRecv(r.value().size());
-  return r;
-}
-
-Result<Bytes> SocketEndpoint::RecvReliable(int from) {
-  const NetConfig& cfg = net_->config();
-  MessageQueue& q = net_->data_in(from);
-  const auto start = std::chrono::steady_clock::now();
-  const uint64_t expected = recv_seq_[from];
-  auto& stash = reorder_[from];
-  const auto deliver = [&](Bytes payload) -> Result<Bytes> {
-    ++recv_seq_[from];
-    CountRecv(payload.size());
-    return payload;
-  };
-  // A retransmission triggered by an earlier gap may already be waiting.
-  {
-    const auto it = stash.find(expected);
-    if (it != stash.end()) {
-      Bytes payload = std::move(it->second);
-      stash.erase(it);
-      return deliver(std::move(payload));
-    }
-  }
-  // Recovery loop, bounded two ways: evidence-backed NACKs (a damaged
-  // frame or a sequence gap) draw on cfg.retry_budget, and the overall
-  // cfg.recv_timeout_ms deadline covers a silent peer. Probe NACKs sent
-  // on silent slices are free — silence usually means the sender is
-  // still computing (or the supervisor is mid-reconnect), and charging
-  // for it would abort healthy slow runs.
-  int evidence = 0;
-  int backoff_ms = cfg.backoff_base_ms;
-  for (;;) {
-    PIVOT_RETURN_IF_ERROR(ServiceControl());
-    const auto elapsed_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (elapsed_ms >= cfg.recv_timeout_ms) {
-      // The liveness snapshot turns "timed out" into a diagnosis: a
-      // connected-but-silent peer is deadlocked or slow, a down peer with
-      // exhausted dials is gone.
-      return Status::ProtocolError(
-          "receive from party " + std::to_string(from) +
-          " timed out at party " + std::to_string(id()) + " after " +
-          std::to_string(elapsed_ms) + " ms (" +
-          std::to_string(recv_seq_[from]) +
-          " messages previously received on this channel, queue depth " +
-          std::to_string(q.depth()) + "; " + net_->DescribePeer(from) + ")");
-    }
-    const int slice = static_cast<int>(
-        std::min<int64_t>(backoff_ms, cfg.recv_timeout_ms - elapsed_ms));
-    Result<Bytes> r = q.Pop(slice > 0 ? slice : 1);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kAborted) return r.status();
-      // Silent slice: probe for the expected frame (covers a frame lost
-      // while the link was down with no follow-up traffic) and back off
-      // deterministically.
-      SendNack(from, expected);
-      backoff_ms = std::min(backoff_ms * 2, cfg.backoff_max_ms);
-      continue;
-    }
-    backoff_ms = cfg.backoff_base_ms;  // channel is live again
-    uint64_t seq = 0;
-    Bytes payload;
-    if (!ParseSeqFrame(r.value(), &seq, &payload)) {
-      // Corrupted or truncated frame; its header cannot be trusted, so
-      // re-request the expected frame.
-      CountCorruptFrame();
-      if (++evidence > cfg.retry_budget) {
-        return Status::ProtocolError(
-            "retry budget exhausted receiving from party " +
-            std::to_string(from) + " at party " + std::to_string(id()) +
-            ": " + std::to_string(evidence) +
-            " loss events (damaged or missing frames) exceeded the budget "
-            "of " +
-            std::to_string(cfg.retry_budget) + " retransmission attempts");
-      }
-      SendNack(from, expected);
-      continue;
-    }
-    if (seq < expected) {
-      // Duplicate of an already-delivered frame (duplicate fault or a
-      // redundant retransmission).
-      CountDuplicate();
-      continue;
-    }
-    if (seq > expected) {
-      // Future frame: the expected one was lost in transit. Stash it and
-      // request the gap.
-      const bool inserted = stash.emplace(seq, std::move(payload)).second;
-      if (!inserted) {
-        CountDuplicate();
-        continue;
-      }
-      if (++evidence > cfg.retry_budget) {
-        return Status::ProtocolError(
-            "retry budget exhausted receiving from party " +
-            std::to_string(from) + " at party " + std::to_string(id()) +
-            ": " + std::to_string(evidence) +
-            " loss events (damaged or missing frames) exceeded the budget "
-            "of " +
-            std::to_string(cfg.retry_budget) + " retransmission attempts");
-      }
-      SendNack(from, expected);
-      continue;
-    }
-    return deliver(std::move(payload));
+    SeverLink(to, action.fatal ? "injected fault: connection severed (fatal: "
+                                 "reconnection refused)"
+                               : "injected fault: connection severed");
+  } else if (action.kind == FaultKind::kMute) {
+    // Outbound traffic (heartbeats included) vanishes until the deadline;
+    // the peer's supervisor detects the silence.
+    link.mute_until_ms.store(NowMs() + action.delay_ms,
+                             std::memory_order_relaxed);
   }
 }
 
@@ -1157,16 +840,8 @@ Status RunLoopbackParties(int num_parties, const SocketOptions& options,
   if (stats != nullptr) {
     *stats = NetworkStats();
     for (int i = 0; i < num_parties; ++i) {
+      stats->Add(nets[i]->endpoint());
       const NetworkStats s = nets[i]->stats();
-      stats->bytes_sent += s.bytes_sent;
-      stats->bytes_received += s.bytes_received;
-      stats->messages_sent += s.messages_sent;
-      stats->messages_received += s.messages_received;
-      stats->rounds = std::max(stats->rounds, s.rounds);
-      stats->retransmits += s.retransmits;
-      stats->duplicates_suppressed += s.duplicates_suppressed;
-      stats->corrupt_frames += s.corrupt_frames;
-      stats->nacks_sent += s.nacks_sent;
       stats->reconnects += s.reconnects;
       stats->heartbeats += s.heartbeats;
     }
@@ -1177,20 +852,7 @@ Status RunLoopbackParties(int num_parties, const SocketOptions& options,
       *fired_fault_mask |= nets[i]->fired_fault_mask();
     }
   }
-  // Prefer the root cause over abort echoes, as RunParties does.
-  for (int i = 0; i < num_parties; ++i) {
-    if (!statuses[i].ok() && statuses[i].code() != StatusCode::kAborted) {
-      return Status(statuses[i].code(), "party " + std::to_string(i) + ": " +
-                                            statuses[i].message());
-    }
-  }
-  for (int i = 0; i < num_parties; ++i) {
-    if (!statuses[i].ok()) {
-      return Status(statuses[i].code(), "party " + std::to_string(i) + ": " +
-                                            statuses[i].message());
-    }
-  }
-  return Status::Ok();
+  return RootCauseStatus(statuses);
 }
 
 }  // namespace pivot

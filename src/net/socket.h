@@ -4,9 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,7 +13,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "net/endpoint.h"
+#include "net/channel.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "net/supervisor.h"
@@ -28,11 +26,14 @@ namespace pivot {
 // One SocketNetwork per party *process*: it binds a TCP or Unix-domain
 // listener, negotiates the full mesh (listen/dial by rank with a
 // version-checked party-id handshake), and exposes a single
-// SocketEndpoint speaking the same reliable frame format as the
-// in-memory mesh (net/wire.h: seq + CRC32 + NACK retransmit) — so a
-// protocol run over real file descriptors is bit-identical to the
-// single-process run, and the checkpoint/resume machinery carries over
-// unchanged to real process crashes.
+// ReliableEndpoint — the same reliable-channel core (net/channel.h: seq +
+// CRC32 + NACK retransmit) the in-memory mesh runs — so a protocol run
+// over real file descriptors is bit-identical to the single-process run,
+// and the checkpoint/resume machinery carries over unchanged to real
+// process crashes. As a carrier, SocketNetwork supplies kData/kNack
+// stream frames on the link writers, per-peer inbound data and control
+// queues filled by the receiver threads, the kSever/kMute link faults,
+// and the peer's liveness for Recv timeout errors.
 //
 // Mesh negotiation: party i dials every peer j < i and accepts from
 // every j > i, so each directed pair has exactly one connection and no
@@ -54,8 +55,7 @@ namespace pivot {
 // TCP backpressure — the classic SPMD distributed deadlock (all parties
 // stuck in a blocking send to each other) cannot happen. Frames sent
 // while a link is down are dropped and recovered by the reliable
-// layer's NACK/retransmit path after reconnection; in raw mode
-// (NetConfig::reliable = false) such frames are simply lost.
+// layer's NACK/retransmit path after reconnection.
 //
 // Faults: a FaultPlan applies to outbound wire frames (drop / delay /
 // duplicate / truncate / corrupt, as in-memory) plus the socket-only
@@ -91,64 +91,14 @@ struct SocketOptions {
   std::function<void()> on_tick;
 };
 
-class SocketNetwork;
-
-// Socket-backed implementation of the Endpoint abstraction. One per
-// SocketNetwork, driven by the party's protocol thread.
-class SocketEndpoint : public Endpoint {
- public:
-  [[nodiscard]] Status Send(int to, Bytes msg) override;
-  Result<Bytes> Recv(int from) override;
-
- private:
-  friend class SocketNetwork;
-  SocketEndpoint(SocketNetwork* net, int id, int num_parties)
-      : Endpoint(id, num_parties),
-        send_seq_(num_parties, 0),
-        recv_seq_(num_parties, 0),
-        resend_(num_parties),
-        reorder_(num_parties),
-        net_(net) {}
-
-  struct ResendEntry {
-    uint64_t seq = 0;
-    Bytes frame;
-  };
-
-  Status BeginOp();
-  Status SendRaw(int to, Bytes msg);
-  Result<Bytes> RecvRaw(int from);
-  Status SendReliable(int to, Bytes msg);
-  Result<Bytes> RecvReliable(int from);
-  Status ServiceControl();
-  Status HandleNack(int peer, uint64_t seq);
-  void SendNack(int to, uint64_t seq);
-  // Applies any scheduled fault for (id -> to, seq) to the wire copy and
-  // hands the surviving copies to the link writer.
-  Status PushWireFrame(int to, uint64_t seq, Bytes frame, bool retransmit);
-
-  // Per-channel state, touched only by the owning party thread.
-  std::vector<uint64_t> send_seq_;
-  std::vector<uint64_t> recv_seq_;
-  std::vector<std::deque<ResendEntry>> resend_;
-  std::vector<std::map<uint64_t, Bytes>> reorder_;
-  uint64_t ops_ = 0;
-  int64_t crashed_at_ = -1;
-  SocketNetwork* net_;
-};
-
-class SocketNetwork {
+class SocketNetwork : public ChannelCarrier {
  public:
   SocketNetwork(int party_id, int num_parties,
                 SocketOptions options = SocketOptions());
-  ~SocketNetwork();
-
-  SocketNetwork(const SocketNetwork&) = delete;
-  SocketNetwork& operator=(const SocketNetwork&) = delete;
+  ~SocketNetwork() override;
 
   int party_id() const { return party_id_; }
   int num_parties() const { return num_parties_; }
-  const NetConfig& config() const { return options_.net; }
   const SocketOptions& options() const { return options_; }
 
   // Binds the listener. `address` is "host:port" (TCP; port 0 picks an
@@ -166,24 +116,13 @@ class SocketNetwork {
   [[nodiscard]] Status Establish(
       const std::vector<std::string>& peer_addresses);
 
-  SocketEndpoint& endpoint() { return *endpoint_; }
+  ReliableEndpoint& endpoint() { return *endpoint_; }
 
   // Security-with-abort across processes: records the cause, poisons the
   // local inbound queues, and (when this party originated the abort)
   // broadcasts a kAbort frame to every connected peer so their blocked
   // receives wake promptly. First caller wins.
   void Abort(Status cause, int origin_party);
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-  Status abort_status() const;
-  // Sleeps up to `ms`, waking early on abort; true if aborted.
-  bool WaitForAbortMs(int ms);
-
-  // Socket-level fault injection; install before Establish.
-  void set_fault_plan(FaultPlan plan);
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
-  uint64_t fired_fault_mask() const {
-    return fired_.load(std::memory_order_relaxed);
-  }
 
   // This process's traffic counters plus supervision counters
   // (reconnects, heartbeats). Cross-party aggregation is the caller's
@@ -194,8 +133,6 @@ class SocketNetwork {
   std::string DescribePeer(int peer) const;
 
  private:
-  friend class SocketEndpoint;
-
   // One connection generation: an fd plus its writer/receiver threads
   // and outbound queue. A reconnect retires the old generation (threads
   // joined, fd closed at reap time) and installs a new one; the
@@ -246,23 +183,33 @@ class SocketNetwork {
   // Hands a ready stream frame to the link writer; silently dropped when
   // the link is down (reliable layer recovers via NACK).
   void EnqueueFrame(int peer, Bytes stream_frame);
-  // Abort without the peer broadcast (for aborts *received* from peers).
-  void LocalAbort(Status recorded);
-  // Records the abort and poisons the inbound queues; false if a prior
+  // Abort without the peer broadcast (for aborts *received* from peers):
+  // records the abort and poisons the inbound queues; false if a prior
   // abort already won.
-  bool LocalAbortInternal(Status recorded);
-  void MarkFaultFired(int action_index) {
-    fired_.fetch_or(uint64_t{1} << (action_index & 63),
-                    std::memory_order_relaxed);
+  bool LocalAbort(const Status& recorded);
+
+  // Carrier hooks (net/channel.h); `from`/`to` other than this party name
+  // the peer.
+  void PushData(int from, int to, Bytes frame) override;
+  void PushNack(int from, int to, Bytes body) override;
+  MessageQueue& InboundData(int from, int to) override {
+    (void)to;
+    return *data_in_[from];
   }
-  MessageQueue& data_in(int peer) { return *data_in_[peer]; }
-  MessageQueue& ctrl_in(int peer) { return *ctrl_in_[peer]; }
+  MessageQueue& InboundNacks(int from, int to) override {
+    (void)to;
+    return *ctrl_in_[from];
+  }
+  void ApplyLinkFault(int to, const FaultAction& action) override;
+  std::string DiagnosePeer(int peer) const override {
+    return DescribePeer(peer);
+  }
 
   int party_id_;
   int num_parties_;
   SocketOptions options_;
   uint64_t incarnation_;
-  std::unique_ptr<SocketEndpoint> endpoint_;
+  std::unique_ptr<ReliableEndpoint> endpoint_;
   std::unique_ptr<ConnectionSupervisor> supervisor_;
 
   int listen_fd_ = -1;
@@ -283,14 +230,7 @@ class SocketNetwork {
   std::mutex conn_mu_;
   std::condition_variable conn_cv_;
 
-  std::unique_ptr<FaultPlan> fault_plan_;
-  std::atomic<uint64_t> fired_{0};
   std::atomic<uint64_t> heartbeat_seq_{0};
-
-  std::atomic<bool> aborted_{false};
-  mutable std::mutex abort_mu_;
-  std::condition_variable abort_cv_;
-  Status abort_status_;
 };
 
 // Loopback harness: runs `body(party_id, endpoint)` for `num_parties`

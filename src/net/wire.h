@@ -14,8 +14,9 @@ namespace pivot {
 // "Transport model").
 //
 // Both the in-memory mesh (net/network.h) and the socket transport
-// (net/socket.h) speak the same *reliable frame* — a per-channel sequence
-// number plus a CRC32 over the whole frame — so duplicate suppression,
+// (net/socket.h) carry the same *reliable frame* — a per-channel sequence
+// number plus a CRC32 over the whole frame — built and parsed only by the
+// reliable-channel core (net/channel.h), so duplicate suppression,
 // corruption detection and NACK-triggered retransmission behave
 // identically whether a frame crossed a std::deque or a TCP connection.
 //
@@ -55,10 +56,10 @@ bool ParseSeqFrame(const Bytes& frame, uint64_t* seq, Bytes* payload);
 // Outer layout: [u32 length][u8 type][body...], length = 1 + body size.
 inline constexpr size_t kStreamHeaderBytes = 5;
 
-// Stream frame types. kData carries a reliable frame (or a raw payload
-// when NetConfig::reliable is off); everything else is control traffic.
+// Stream frame types. kData carries a reliable frame; everything else is
+// control traffic.
 enum class StreamFrameType : uint8_t {
-  kData = 1,       // body: reliable frame (seq + CRC32) or raw payload
+  kData = 1,       // body: reliable frame (seq + CRC32)
   kNack = 2,       // body: u64 requested sequence number
   kHeartbeat = 3,  // body: u64 heartbeat counter
   kAbort = 4,      // body: i64 origin party, u8 status code, string message

@@ -3,24 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/codec.h"
 #include "net/fault.h"
+#include "net/socket.h"
 #include "net/wire.h"
 
 namespace pivot {
 namespace {
-
-// Raw (unframed) channels: the PR-2 semantics where injected faults hit
-// the application payload directly.
-NetConfig RawConfig(int timeout_ms) {
-  NetConfig c;
-  c.recv_timeout_ms = timeout_ms;
-  c.reliable = false;
-  return c;
-}
 
 // Reliable channels with a fast backoff so recovery tests finish quickly.
 NetConfig FastReliableConfig(int timeout_ms) {
@@ -29,6 +23,43 @@ NetConfig FastReliableConfig(int timeout_ms) {
   c.backoff_base_ms = 2;
   c.backoff_max_ms = 20;
   return c;
+}
+
+// The two carriers of the reliable-channel core: the in-memory mesh under
+// RunParties, and loopback TCP sockets under RunLoopbackParties. The
+// ReliableChannelTest cases run one body, one FaultPlan and one set of
+// assertions on each.
+enum class Carrier { kInMemory, kLoopback };
+constexpr Carrier kCarriers[] = {Carrier::kInMemory, Carrier::kLoopback};
+
+const char* CarrierName(Carrier carrier) {
+  return carrier == Carrier::kInMemory ? "in-memory" : "loopback sockets";
+}
+
+struct CarrierRun {
+  Status status;
+  NetworkStats stats;
+};
+
+// Runs `body` on two parties over `carrier` with `plan` installed on
+// every party.
+CarrierRun RunOnCarrier(Carrier carrier, const NetConfig& cfg,
+                        const FaultPlan& plan,
+                        const std::function<Status(int, Endpoint&)>& body) {
+  constexpr int kParties = 2;
+  CarrierRun run;
+  if (carrier == Carrier::kInMemory) {
+    InMemoryNetwork net(kParties, cfg);
+    net.set_fault_plan(plan);
+    run.status = RunParties(net, body);
+    run.stats = net.stats();
+  } else {
+    SocketOptions options;
+    options.net = cfg;
+    run.status = RunLoopbackParties(kParties, options, body, &run.stats,
+                                    std::vector<FaultPlan>(kParties, plan));
+  }
+  return run;
 }
 
 TEST(NetworkTest, PointToPoint) {
@@ -240,10 +271,18 @@ TEST(FaultPlanTest, DeterministicFromSeed) {
   EXPECT_NE(a.ToString(), FaultPlan::FromSeed(43, 3, 100).ToString());
 }
 
+// A fatal drop also eats every retransmission: the receiver's probes go
+// unanswered and its Recv fails with the channel-naming timeout.
 TEST(FaultPlanTest, DropCausesRecvTimeout) {
-  InMemoryNetwork net(2, RawConfig(/*timeout_ms=*/50));
+  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/50));
   FaultPlan plan;
-  plan.Add({FaultKind::kDrop, /*party=*/0, /*peer=*/1, /*nth=*/0, 0, 0});
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.party = 0;
+  drop.peer = 1;
+  drop.nth = 0;
+  drop.fatal = true;
+  plan.Add(drop);
   net.set_fault_plan(std::move(plan));
   Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
     if (id == 0) return ep.Send(1, Bytes{7});
@@ -257,20 +296,30 @@ TEST(FaultPlanTest, DropCausesRecvTimeout) {
   EXPECT_EQ(net.fired_fault_mask(), 1u);
 }
 
+// The duplicate fault puts the frame on the wire twice; the channel
+// delivers the payload once and suppresses the second copy.
 TEST(FaultPlanTest, DuplicateDeliversTwice) {
-  InMemoryNetwork net(2, RawConfig(/*timeout_ms=*/5'000));
+  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/5'000));
   FaultPlan plan;
   plan.Add({FaultKind::kDuplicate, 0, 1, 0, 0, 0});
   net.set_fault_plan(std::move(plan));
   Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) return ep.Send(1, Bytes{7});
-    for (int i = 0; i < 2; ++i) {
-      PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
-      if (msg != Bytes{7}) return Status::Internal("wrong duplicate body");
+    if (id == 0) {
+      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{7}));
+      return ep.Send(1, Bytes{8});
+    }
+    PIVOT_ASSIGN_OR_RETURN(Bytes first, ep.Recv(0));
+    PIVOT_ASSIGN_OR_RETURN(Bytes second, ep.Recv(0));
+    if (first != Bytes{7} || second != Bytes{8}) {
+      return Status::Internal("duplicate delivered to the protocol");
     }
     return Status::Ok();
   });
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(net.fired_fault_mask(), 1u);
+  const NetworkStats stats = net.stats();
+  EXPECT_EQ(stats.duplicates_suppressed, 1u);
+  EXPECT_EQ(stats.messages_received, 2u);
 }
 
 TEST(FaultPlanTest, CrashAbortsPeersWithPartyName) {
@@ -293,18 +342,30 @@ TEST(FaultPlanTest, CrashAbortsPeersWithPartyName) {
   EXPECT_NE(st.message().find("crashed"), std::string::npos);
 }
 
+// The truncate fault shortens the wire frame; the length check rejects
+// it and the retransmission delivers the payload intact.
 TEST(FaultPlanTest, TruncateShortensMessage) {
-  InMemoryNetwork net(2, RawConfig(/*timeout_ms=*/5'000));
+  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/5'000));
   FaultPlan plan;
   plan.Add({FaultKind::kTruncate, 0, 1, 0, 0, 0});
   net.set_fault_plan(std::move(plan));
   Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) return ep.Send(1, Bytes(10, 3));
+    if (id == 0) {
+      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes(10, 3)));
+      // Stay alive in Recv so the NACK from party 1 gets serviced.
+      PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
+      (void)ack;
+      return Status::Ok();
+    }
     PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
-    if (msg.size() != 5) return Status::Internal("not truncated");
-    return Status::Ok();
+    if (msg != Bytes(10, 3)) return Status::Internal("payload damaged");
+    return ep.Send(0, Bytes{1});
   });
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(net.fired_fault_mask(), 1u);
+  const NetworkStats stats = net.stats();
+  EXPECT_GE(stats.corrupt_frames, 1u);
+  EXPECT_GE(stats.retransmits, 1u);
 }
 
 // ----- Reliable channel layer -----------------------------------------
@@ -312,80 +373,89 @@ TEST(FaultPlanTest, TruncateShortensMessage) {
 // A transiently dropped frame is recovered via probe NACK + retransmit:
 // the receiver's Recv returns the intact payload and the run completes.
 TEST(ReliableChannelTest, TransientDropMaskedByRetransmit) {
-  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/10'000));
   FaultPlan plan;
   plan.Add({FaultKind::kDrop, /*party=*/0, /*peer=*/1, /*nth=*/0, 0, 0});
-  net.set_fault_plan(std::move(plan));
-  Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) {
-      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{42}));
-      // Stay alive in Recv so the NACK from party 1 gets serviced.
-      PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
-      if (ack != Bytes{1}) return Status::Internal("bad ack");
-    } else {
-      PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
-      if (msg != Bytes{42}) return Status::Internal("bad payload");
-      PIVOT_RETURN_IF_ERROR(ep.Send(0, Bytes{1}));
-    }
-    return Status::Ok();
-  });
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  const NetworkStats stats = net.stats();
-  EXPECT_GE(stats.retransmits, 1u);
-  EXPECT_GE(stats.nacks_sent, 1u);
-  // Logical counters are unaffected by the recovery traffic.
-  EXPECT_EQ(stats.messages_sent, 2u);
-  EXPECT_EQ(stats.bytes_sent, 2u);
+  for (Carrier carrier : kCarriers) {
+    SCOPED_TRACE(CarrierName(carrier));
+    const CarrierRun run = RunOnCarrier(
+        carrier, FastReliableConfig(/*timeout_ms=*/10'000), plan,
+        [](int id, Endpoint& ep) -> Status {
+          if (id == 0) {
+            PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{42}));
+            // Stay alive in Recv so the NACK from party 1 gets serviced.
+            PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
+            if (ack != Bytes{1}) return Status::Internal("bad ack");
+          } else {
+            PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
+            if (msg != Bytes{42}) return Status::Internal("bad payload");
+            PIVOT_RETURN_IF_ERROR(ep.Send(0, Bytes{1}));
+          }
+          return Status::Ok();
+        });
+    EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_GE(run.stats.retransmits, 1u);
+    EXPECT_GE(run.stats.nacks_sent, 1u);
+    // Logical counters are unaffected by the recovery traffic.
+    EXPECT_EQ(run.stats.messages_sent, 2u);
+    EXPECT_EQ(run.stats.bytes_sent, 2u);
+  }
 }
 
 // A duplicated frame is delivered once; the second copy is suppressed by
 // the sequence check and a following message still arrives in order.
 TEST(ReliableChannelTest, DuplicateSuppressed) {
-  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/10'000));
   FaultPlan plan;
   plan.Add({FaultKind::kDuplicate, /*party=*/0, /*peer=*/1, /*nth=*/0, 0, 0});
-  net.set_fault_plan(std::move(plan));
-  Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) {
-      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{7}));
-      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{8}));
-    } else {
-      PIVOT_ASSIGN_OR_RETURN(Bytes a, ep.Recv(0));
-      PIVOT_ASSIGN_OR_RETURN(Bytes b, ep.Recv(0));
-      if (a != Bytes{7} || b != Bytes{8}) {
-        return Status::Internal("duplicate leaked into the stream");
-      }
-    }
-    return Status::Ok();
-  });
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_GE(net.stats().duplicates_suppressed, 1u);
+  for (Carrier carrier : kCarriers) {
+    SCOPED_TRACE(CarrierName(carrier));
+    const CarrierRun run = RunOnCarrier(
+        carrier, FastReliableConfig(/*timeout_ms=*/10'000), plan,
+        [](int id, Endpoint& ep) -> Status {
+          if (id == 0) {
+            PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{7}));
+            PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{8}));
+          } else {
+            PIVOT_ASSIGN_OR_RETURN(Bytes a, ep.Recv(0));
+            PIVOT_ASSIGN_OR_RETURN(Bytes b, ep.Recv(0));
+            if (a != Bytes{7} || b != Bytes{8}) {
+              return Status::Internal("duplicate leaked into the stream");
+            }
+          }
+          return Status::Ok();
+        });
+    EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_GE(run.stats.duplicates_suppressed, 1u);
+  }
 }
 
 // A transiently corrupted frame fails its CRC; the receiver NACKs and the
 // retransmission (not re-faulted) delivers the original bytes.
 TEST(ReliableChannelTest, ChecksumMismatchTriggersRetransmit) {
-  InMemoryNetwork net(2, FastReliableConfig(/*timeout_ms=*/10'000));
   FaultPlan plan;
   plan.Add({FaultKind::kCorrupt, /*party=*/0, /*peer=*/1, /*nth=*/0, 0,
             /*bit=*/37});
-  net.set_fault_plan(std::move(plan));
-  Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) {
-      PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes(64, 0xAB)));
-      PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
-      (void)ack;
-    } else {
-      PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
-      if (msg != Bytes(64, 0xAB)) return Status::Internal("payload damaged");
-      PIVOT_RETURN_IF_ERROR(ep.Send(0, Bytes{1}));
-    }
-    return Status::Ok();
-  });
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  const NetworkStats stats = net.stats();
-  EXPECT_GE(stats.corrupt_frames, 1u);
-  EXPECT_GE(stats.retransmits, 1u);
+  for (Carrier carrier : kCarriers) {
+    SCOPED_TRACE(CarrierName(carrier));
+    const CarrierRun run = RunOnCarrier(
+        carrier, FastReliableConfig(/*timeout_ms=*/10'000), plan,
+        [](int id, Endpoint& ep) -> Status {
+          if (id == 0) {
+            PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes(64, 0xAB)));
+            PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
+            (void)ack;
+          } else {
+            PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
+            if (msg != Bytes(64, 0xAB)) {
+              return Status::Internal("payload damaged");
+            }
+            PIVOT_RETURN_IF_ERROR(ep.Send(0, Bytes{1}));
+          }
+          return Status::Ok();
+        });
+    EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_GE(run.stats.corrupt_frames, 1u);
+    EXPECT_GE(run.stats.retransmits, 1u);
+  }
 }
 
 // A NACK for a frame that has been evicted from the bounded resend buffer
@@ -394,30 +464,35 @@ TEST(ReliableChannelTest, ChecksumMismatchTriggersRetransmit) {
 TEST(ReliableChannelTest, ResendBufferEvictionAborts) {
   NetConfig cfg = FastReliableConfig(/*timeout_ms=*/10'000);
   cfg.resend_buffer_frames = 2;
-  InMemoryNetwork net(2, cfg);
   FaultPlan plan;
   plan.Add({FaultKind::kDrop, /*party=*/0, /*peer=*/1, /*nth=*/0, 0, 0});
-  net.set_fault_plan(std::move(plan));
-  Status st = RunParties(net, [](int id, Endpoint& ep) -> Status {
-    if (id == 0) {
-      // Push seq 0..7; the 2-frame window evicts the dropped seq 0 long
-      // before the receiver's NACK for it can arrive.
-      for (int i = 0; i < 8; ++i) {
-        PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{static_cast<uint8_t>(i)}));
-      }
-      Result<Bytes> r = ep.Recv(1);  // services the doomed NACK
-      return r.ok() ? Status::Internal("expected eviction error") : r.status();
-    }
-    // Give the sender time to overrun its resend window first.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    for (int i = 0; i < 8; ++i) {
-      Result<Bytes> r = ep.Recv(0);
-      if (!r.ok()) return r.status();
-    }
-    return Status::Internal("dropped frame was delivered");
-  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("resend"), std::string::npos) << st.ToString();
+  for (Carrier carrier : kCarriers) {
+    SCOPED_TRACE(CarrierName(carrier));
+    const CarrierRun run = RunOnCarrier(
+        carrier, cfg, plan, [](int id, Endpoint& ep) -> Status {
+          if (id == 0) {
+            // Push seq 0..7; the 2-frame window evicts the dropped seq 0
+            // long before the receiver's NACK for it can arrive.
+            for (int i = 0; i < 8; ++i) {
+              PIVOT_RETURN_IF_ERROR(
+                  ep.Send(1, Bytes{static_cast<uint8_t>(i)}));
+            }
+            Result<Bytes> r = ep.Recv(1);  // services the doomed NACK
+            return r.ok() ? Status::Internal("expected eviction error")
+                          : r.status();
+          }
+          // Give the sender time to overrun its resend window first.
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          for (int i = 0; i < 8; ++i) {
+            Result<Bytes> r = ep.Recv(0);
+            if (!r.ok()) return r.status();
+          }
+          return Status::Internal("dropped frame was delivered");
+        });
+    EXPECT_FALSE(run.status.ok());
+    EXPECT_NE(run.status.message().find("resend"), std::string::npos)
+        << run.status.ToString();
+  }
 }
 
 // A fatal corrupt fault damages every retransmission too; the receiver's
@@ -426,7 +501,6 @@ TEST(ReliableChannelTest, ResendBufferEvictionAborts) {
 TEST(ReliableChannelTest, RetryBudgetExhaustionEscalatesToAbort) {
   NetConfig cfg = FastReliableConfig(/*timeout_ms=*/30'000);
   cfg.retry_budget = 3;
-  InMemoryNetwork net(2, cfg);
   FaultPlan plan;
   FaultAction corrupt;
   corrupt.kind = FaultKind::kCorrupt;
@@ -436,48 +510,50 @@ TEST(ReliableChannelTest, RetryBudgetExhaustionEscalatesToAbort) {
   corrupt.bit = 11;
   corrupt.fatal = true;
   plan.Add(corrupt);
-  net.set_fault_plan(std::move(plan));
-  std::mutex mu;
-  std::vector<Status> per_party(2);
-  Status st = RunParties(net, [&](int id, Endpoint& ep) -> Status {
-    Status out;
-    if (id == 0) {
-      Status s = ep.Send(1, Bytes(32, 5));
-      if (!s.ok()) {
-        out = s;
-      } else {
-        Result<Bytes> r = ep.Recv(1);  // blocks servicing NACKs until abort
-        out = r.ok() ? Status::Internal("expected abort") : r.status();
-      }
-    } else {
-      Result<Bytes> r = ep.Recv(0);
-      out = r.ok() ? Status::Internal("expected budget exhaustion")
-                   : r.status();
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    per_party[id] = out;
-    return out;
-  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("retry budget exhausted"), std::string::npos)
-      << st.ToString();
-  // The sender, blocked in Recv, is woken by the abort.
-  EXPECT_EQ(per_party[0].code(), StatusCode::kAborted)
-      << per_party[0].ToString();
-  EXPECT_GE(net.stats().corrupt_frames, 3u);
+  for (Carrier carrier : kCarriers) {
+    SCOPED_TRACE(CarrierName(carrier));
+    std::mutex mu;
+    std::vector<Status> per_party(2);
+    const CarrierRun run = RunOnCarrier(
+        carrier, cfg, plan, [&](int id, Endpoint& ep) -> Status {
+          Status out;
+          if (id == 0) {
+            Status s = ep.Send(1, Bytes(32, 5));
+            if (!s.ok()) {
+              out = s;
+            } else {
+              Result<Bytes> r = ep.Recv(1);  // services NACKs until abort
+              out = r.ok() ? Status::Internal("expected abort") : r.status();
+            }
+          } else {
+            Result<Bytes> r = ep.Recv(0);
+            out = r.ok() ? Status::Internal("expected budget exhaustion")
+                         : r.status();
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          per_party[id] = out;
+          return out;
+        });
+    EXPECT_FALSE(run.status.ok());
+    EXPECT_NE(run.status.message().find("retry budget exhausted"),
+              std::string::npos)
+        << run.status.ToString();
+    // The sender, blocked in Recv, is woken by the abort.
+    EXPECT_EQ(per_party[0].code(), StatusCode::kAborted)
+        << per_party[0].ToString();
+    EXPECT_GE(run.stats.corrupt_frames, 3u);
+  }
 }
 
 TEST(NetConfigTest, FromEnvOverridesFields) {
   setenv("PIVOT_NET_RECV_TIMEOUT_MS", "1234", 1);
   setenv("PIVOT_NET_RETRY_BUDGET", "5", 1);
-  setenv("PIVOT_NET_RELIABLE", "0", 1);
   setenv("PIVOT_NET_BACKOFF_BASE_MS", "3", 1);
   setenv("PIVOT_NET_BACKOFF_MAX_MS", "77", 1);
   setenv("PIVOT_NET_RESEND_FRAMES", "9", 1);
   const Result<NetConfig> cfg_or = NetConfig::FromEnv();
   unsetenv("PIVOT_NET_RECV_TIMEOUT_MS");
   unsetenv("PIVOT_NET_RETRY_BUDGET");
-  unsetenv("PIVOT_NET_RELIABLE");
   unsetenv("PIVOT_NET_BACKOFF_BASE_MS");
   unsetenv("PIVOT_NET_BACKOFF_MAX_MS");
   unsetenv("PIVOT_NET_RESEND_FRAMES");
@@ -485,14 +561,13 @@ TEST(NetConfigTest, FromEnvOverridesFields) {
   const NetConfig& cfg = cfg_or.value();
   EXPECT_EQ(cfg.recv_timeout_ms, 1234);
   EXPECT_EQ(cfg.retry_budget, 5);
-  EXPECT_FALSE(cfg.reliable);
   EXPECT_EQ(cfg.backoff_base_ms, 3);
   EXPECT_EQ(cfg.backoff_max_ms, 77);
   EXPECT_EQ(cfg.resend_buffer_frames, 9);
   // Unset variables leave the base untouched.
   const Result<NetConfig> plain = NetConfig::FromEnv();
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain.value().reliable);
+  EXPECT_EQ(plain.value().recv_timeout_ms, NetConfig().recv_timeout_ms);
 }
 
 TEST(NetConfigTest, FromEnvRejectsUnparsableValues) {

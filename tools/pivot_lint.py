@@ -69,6 +69,16 @@ Rules (see DESIGN.md, "Correctness tooling"):
                     Tests are exempt (shell-script harnesses kill
                     parties directly).
 
+  seq-frame-home    BuildSeqFrame/ParseSeqFrame used anywhere but
+                    src/net/channel.cc (their declarations and
+                    definitions in src/net/wire.{h,cc} aside). The
+                    reliable-channel core is the one place that frames,
+                    buffers and recovers messages for both transports;
+                    a second caller is a second copy of that protocol
+                    drifting on its own (see DESIGN.md, "Transport
+                    model"). Tests are exempt (they probe the codec
+                    directly).
+
 Usage:
   tools/pivot_lint.py [ROOT]            lint the whole tree (default: cwd)
   tools/pivot_lint.py ROOT --files F... lint specific files only
@@ -125,6 +135,9 @@ RE_RAW_PROCESS = re.compile(
     r"(?<![A-Za-z0-9_])(?:fork|vfork|execv|execve|execvp|execvpe|execl|"
     r"execlp|execle|posix_spawn|posix_spawnp|waitpid|wait3|wait4|kill|"
     r"killpg|system|popen)\s*\(")
+RE_SEQ_FRAME = re.compile(
+    r"(?<![A-Za-z0-9_])(?:BuildSeqFrame|ParseSeqFrame)\b")
+SEQ_FRAME_HOMES = ("src/net/channel.cc", "src/net/wire.h", "src/net/wire.cc")
 
 
 class Finding:
@@ -312,6 +325,18 @@ def check_raw_process(rel, lines, findings):
                 "so every child is supervised, logged, and reaped"))
 
 
+def check_seq_frame_home(rel, lines, findings):
+    if rel.startswith("tests/") or rel in SEQ_FRAME_HOMES:
+        return
+    for i, line in enumerate(lines, 1):
+        if RE_SEQ_FRAME.search(strip_comment(line)):
+            findings.append(Finding(
+                rel, i, "seq-frame-home",
+                "BuildSeqFrame/ParseSeqFrame outside src/net/channel.cc; "
+                "framing and recovery live in the one reliable-channel "
+                "core (ReliableEndpoint) shared by both transports"))
+
+
 CHECKS = (
     check_banned_random,
     check_secret_print,
@@ -322,6 +347,7 @@ CHECKS = (
     check_unbounded_retry,
     check_raw_socket,
     check_raw_process,
+    check_seq_frame_home,
 )
 
 

@@ -500,5 +500,39 @@ class RawProcessTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+
+class SeqFrameHomeTest(unittest.TestCase):
+    def test_flags_framing_outside_channel(self):
+        findings = run_lint(
+            {"src/net/socket.cc": "Bytes f = BuildSeqFrame(seq, msg);\n",
+             "src/net/network.cc":
+             "if (!ParseSeqFrame(frame, &seq, &payload)) return;\n"})
+        self.assertEqual(rules(findings), ["seq-frame-home"])
+        self.assertEqual(len(findings), 2)
+
+    def test_flags_outside_src_too(self):
+        findings = run_lint(
+            {"bench/bench_net.cc": "Bytes f = BuildSeqFrame(0, msg);\n"})
+        self.assertEqual(rules(findings), ["seq-frame-home"])
+
+    def test_allows_core_and_codec(self):
+        findings = run_lint(
+            {"src/net/channel.cc": "Bytes frame = BuildSeqFrame(seq, msg);\n",
+             "src/net/wire.cc":
+             "Bytes BuildSeqFrame(uint64_t seq, const Bytes& payload) {\n"})
+        self.assertEqual(findings, [])
+
+    def test_tests_exempt(self):
+        findings = run_lint(
+            {"tests/net_test.cc": "Bytes f = BuildSeqFrame(3, p);\n"})
+        self.assertEqual(findings, [])
+
+    def test_ignores_comments_and_lookalikes(self):
+        code = ("// ReliableEndpoint calls BuildSeqFrame internally\n"
+                "Bytes f = MyBuildSeqFrame(1, p);\n")
+        findings = run_lint({"src/net/socket.cc": code})
+        self.assertEqual(findings, [])
+
+
 if __name__ == "__main__":
     unittest.main()
