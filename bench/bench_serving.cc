@@ -3,9 +3,10 @@
 //
 // Trains one basic-protocol Pivot tree, then replays a fixed request
 // stream through two pipelines on the same federation topology:
-//   1. "scalar" baseline — a per-row PredictPivot loop, exactly the
-//      pre-serving code path: one Algorithm-4 round-robin sweep and one
-//      joint decryption per request, cold randomness pool;
+//   1. "scalar" baseline — one PredictPivot call per request, i.e. a
+//      batch of one per request: one Algorithm-4 round-robin sweep, one
+//      joint decryption and a rebuilt prediction cache per request,
+//      cold randomness pool;
 //   2. ServingSession at batch sizes 1/8/64 — warm per-model caches,
 //      pre-warmed encryption-randomness pool, and one batched protocol
 //      sweep (one ciphertext-matrix hop per party, one joint decryption
@@ -19,9 +20,8 @@
 // bench_results/bench_serving.json (requests/sec, p50/p99 latency,
 // speedup vs scalar). The speedup is algorithmic, not core-count:
 // pool-hit encrypt/rerandomize costs one modular multiplication instead
-// of a full exponentiation, and joint decryptions amortize across the
-// batch — so it shows up even on a 1-core host (hardware_threads is
-// recorded in the JSON).
+// of a full exponentiation, and network rounds and joint decryptions
+// amortize across the batch (hardware_threads is recorded in the JSON).
 
 #include <cstring>
 

@@ -21,6 +21,20 @@ void NetworkStats::Add(const Endpoint& e) {
   nacks_sent += e.nacks_sent();
 }
 
+void NetworkStats::Add(const NetworkStats& s) {
+  bytes_sent += s.bytes_sent;
+  bytes_received += s.bytes_received;
+  messages_sent += s.messages_sent;
+  messages_received += s.messages_received;
+  rounds += s.rounds;
+  retransmits += s.retransmits;
+  duplicates_suppressed += s.duplicates_suppressed;
+  corrupt_frames += s.corrupt_frames;
+  nacks_sent += s.nacks_sent;
+  reconnects += s.reconnects;
+  heartbeats += s.heartbeats;
+}
+
 InMemoryNetwork::InMemoryNetwork(int num_parties, NetConfig config,
                                  NetworkSim sim)
     : ChannelCarrier(config), num_parties_(num_parties), sim_(sim) {

@@ -79,9 +79,13 @@ struct NetworkStats {
   uint64_t reconnects = 0;   // socket backend: successful re-dials
   uint64_t heartbeats = 0;   // socket backend: heartbeat frames sent
 
-  // Sums `e`'s counters in (rounds takes the maximum). Supervision
-  // counters are not endpoint counters and are left alone.
+  // Sums `e`'s counters in (rounds takes the maximum over endpoints).
+  // Supervision counters are not endpoint counters and are left alone.
   void Add(const Endpoint& e);
+  // Sums every counter of `s` in, rounds included: the federation runners
+  // total the stats of successive restart attempts, whose rounds happen
+  // one after another.
+  void Add(const NetworkStats& s);
 };
 
 class InMemoryNetwork : public ChannelCarrier {

@@ -326,41 +326,58 @@ Status SocketNetwork::Establish(
           " ms: " + last.ToString());
     }
   }
-  // Wait for every higher-ranked peer to dial in.
+  // Wait for every higher-ranked peer to dial in. Nothing redials before
+  // the supervisor starts, so a link this party dialed that drops
+  // meanwhile ends the wait at once: the caller's restart loop re-meshes
+  // instead of waiting out the deadline.
   {
     std::unique_lock<std::mutex> lock(conn_mu_);
+    std::vector<int> missing;
     conn_cv_.wait_for(lock,
                       std::chrono::milliseconds(
                           std::max<int64_t>(deadline - NowMs(), 1)),
-                      [this] { return AllConnectedLocked() || aborted(); });
+                      [this, &missing] {
+                        missing = MissingPeersLocked();
+                        return missing.empty() || missing[0] < party_id_ ||
+                               aborted();
+                      });
     if (aborted()) return abort_status();
-    if (!AllConnectedLocked()) {
-      std::string missing;
-      for (int p = party_id_ + 1; p < num_parties_; ++p) {
-        std::lock_guard<std::mutex> plock(links_[p]->mu);
-        if (!links_[p]->cur) {
-          if (!missing.empty()) missing += ", ";
-          missing += std::to_string(p);
+    if (!missing.empty()) {
+      std::string names;
+      for (int p : missing) {
+        if (!names.empty()) names += ", ";
+        names += std::to_string(p);
+      }
+      const std::string prefix = "party " + std::to_string(party_id_) + ": ";
+      if (missing[0] < party_id_) {
+        std::string reason;
+        {
+          std::lock_guard<std::mutex> plock(links_[missing[0]]->mu);
+          reason = links_[missing[0]]->last_down_reason;
         }
+        return Status::ProtocolError(
+            prefix + "connection to party " + std::to_string(missing[0]) +
+            " dropped during mesh establishment (" + reason +
+            "); not connected to party " + names);
       }
       return Status::ProtocolError(
-          "party " + std::to_string(party_id_) +
-          ": mesh establishment timed out after " +
+          prefix + "mesh establishment timed out after " +
           std::to_string(options_.establish_timeout_ms) +
-          " ms; still waiting for party " + missing + " to dial in");
+          " ms; not connected to party " + names);
     }
   }
   supervisor_thread_ = std::thread([this] { SupervisorLoop(); });
   return Status::Ok();
 }
 
-bool SocketNetwork::AllConnectedLocked() {
+std::vector<int> SocketNetwork::MissingPeersLocked() {
+  std::vector<int> missing;
   for (int p = 0; p < num_parties_; ++p) {
     if (p == party_id_) continue;
     std::lock_guard<std::mutex> lock(links_[p]->mu);
-    if (!links_[p]->cur) return false;
+    if (!links_[p]->cur) missing.push_back(p);
   }
-  return true;
+  return missing;
 }
 
 Status SocketNetwork::DialPeer(int j) {
@@ -586,12 +603,20 @@ void SocketNetwork::AdoptConnection(int peer, int fd,
 
 void SocketNetwork::SeverLink(int peer, const std::string& reason) {
   PeerLink& link = *links_[peer];
-  std::lock_guard<std::mutex> lock(link.mu);
-  link.last_down_reason = reason;
-  if (!link.cur) return;
-  ::shutdown(link.cur->fd, SHUT_RDWR);
-  link.cur->outbound->Poison(Status::Aborted("connection severed: " + reason));
-  link.dead.push_back(std::move(link.cur));
+  {
+    std::lock_guard<std::mutex> lock(link.mu);
+    link.last_down_reason = reason;
+    if (!link.cur) return;
+    ::shutdown(link.cur->fd, SHUT_RDWR);
+    link.cur->outbound->Poison(
+        Status::Aborted("connection severed: " + reason));
+    link.dead.push_back(std::move(link.cur));
+  }
+  // Wake Establish's dial-in wait, which ends on a dropped dialed link.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+  }
+  conn_cv_.notify_all();
 }
 
 void SocketNetwork::EnqueueFrame(int peer, Bytes stream_frame) {

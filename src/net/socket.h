@@ -112,7 +112,9 @@ class SocketNetwork : public ChannelCarrier {
   // with deterministic backoff until options.establish_timeout_ms),
   // accepts every higher-ranked one, then starts supervision.
   // `peer_addresses[j]` is party j's listen address; the self entry is
-  // ignored. Fails permanently on a transport-version mismatch.
+  // ignored. Fails permanently on a transport-version mismatch, and at
+  // once (naming the peer) when a dialed link drops while waiting for
+  // the dial-ins.
   [[nodiscard]] Status Establish(
       const std::vector<std::string>& peer_addresses);
 
@@ -178,8 +180,9 @@ class SocketNetwork : public ChannelCarrier {
   // happen later (AdoptConnection or teardown) — never from a thread
   // that might be the generation's own receiver.
   void SeverLink(int peer, const std::string& reason);
-  // True once every peer has a live connection.
-  bool AllConnectedLocked();
+  // Peers without a live connection, ascending (empty once the mesh is
+  // up). Caller holds conn_mu_.
+  std::vector<int> MissingPeersLocked();
   // Hands a ready stream frame to the link writer; silently dropped when
   // the link is down (reliable layer recovers via NACK).
   void EnqueueFrame(int peer, Bytes stream_frame);

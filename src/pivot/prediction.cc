@@ -52,187 +52,6 @@ std::vector<BigInt> LeafPlainVector(const PivotTree& tree,
   return z;
 }
 
-// Basic-protocol round-robin update of the encrypted prediction vector:
-// this party zeroes every leaf whose path contradicts one of its own
-// feature comparisons, and rerandomizes the rest (batched: multiply by 1
-// or 0, then rerandomize so the two cases are indistinguishable).
-Status ApplyLocalUpdates(PartyContext& ctx, const PivotTree& tree,
-                         const std::vector<double>& my_features,
-                         const std::vector<std::vector<PathConstraint>>& paths,
-                         std::vector<Ciphertext>* eta) {
-  std::vector<BigInt> sel(paths.size());
-  for (size_t leaf = 0; leaf < paths.size(); ++leaf) {
-    bool possible = true;
-    for (const PathConstraint& pc : paths[leaf]) {
-      const PivotNode& n = tree.nodes[pc.node];
-      if (n.owner != ctx.id()) continue;
-      const bool go_left = my_features[n.feature_local] <= n.threshold;
-      if (go_left != pc.left) {
-        possible = false;
-        break;
-      }
-    }
-    sel[leaf] = BigInt(possible ? 1 : 0);
-  }
-  PIVOT_ASSIGN_OR_RETURN(
-      std::vector<Ciphertext> scaled,
-      ScalarMulBatch(ctx.pk(), sel, *eta, ctx.crypto_threads()));
-  PIVOT_ASSIGN_OR_RETURN(*eta, ctx.RerandomizeBatch(scaled));
-  return Status::Ok();
-}
-
-Result<Ciphertext> RunBasicPrediction(PartyContext& ctx, const PivotTree& tree,
-                                      const std::vector<double>& my_features) {
-  const int m = ctx.num_parties();
-  const auto paths = LeafPaths(tree);
-  const size_t leaves = paths.size();
-
-  // Round-robin from party m-1 down to party 0 (Algorithm 4).
-  std::vector<Ciphertext> eta;
-  if (ctx.id() == m - 1) {
-    const std::vector<BigInt> ones(leaves, BigInt(1));
-    PIVOT_ASSIGN_OR_RETURN(eta, ctx.EncryptBatch(ones));
-  } else {
-    PIVOT_ASSIGN_OR_RETURN(eta, ctx.RecvCiphertexts(ctx.id() + 1));
-    if (eta.size() != leaves) {
-      return Status::ProtocolError("prediction vector size mismatch");
-    }
-  }
-  PIVOT_RETURN_IF_ERROR(
-      ApplyLocalUpdates(ctx, tree, my_features, paths, &eta));
-  if (ctx.id() > 0) {
-    PIVOT_RETURN_IF_ERROR(
-        ctx.endpoint().Send(ctx.id() - 1, EncodeCiphertextVector(eta)));
-  }
-
-  // Party 0 computes [k-bar] = z ⊙ [eta] and broadcasts it.
-  std::vector<Ciphertext> kbar;
-  if (ctx.id() == 0) {
-    const std::vector<int> leaf_ids = tree.LeafOrder();
-    PIVOT_CHECK(leaf_ids.size() == leaves);
-    const std::vector<BigInt> z = LeafPlainVector(tree, leaf_ids);
-    kbar.push_back(ctx.pk().DotProduct(z, eta));
-    if (m > 1) PIVOT_RETURN_IF_ERROR(ctx.BroadcastCiphertexts(kbar));
-  } else {
-    PIVOT_ASSIGN_OR_RETURN(kbar, ctx.RecvCiphertexts(0));
-  }
-  return kbar[0];
-}
-
-Result<u128> RunEnhancedPredictionShare(
-    PartyContext& ctx, const PivotTree& tree,
-    const std::vector<double>& my_features) {
-  MpcEngine& eng = ctx.engine();
-  const int k_bound = ctx.params().mpc.value_bits;
-
-  // 1. Secret-share the feature value at every internal node. Nodes with
-  // a public feature: the owner inputs its value. Nodes with a hidden
-  // feature (HidingLevel::kFeature / kClientAndFeature): every involved
-  // client selects its candidate feature value against its retained
-  // lambda slice; the homomorphic sum is the winning feature's value,
-  // which is then converted to shares without anyone learning which
-  // feature was used.
-  const size_t node_count = tree.nodes.size();
-  std::vector<u128> x_shares(node_count, 0);
-  std::vector<Ciphertext> hidden_cts;
-  std::vector<size_t> hidden_ids;
-  for (size_t id = 0; id < node_count; ++id) {
-    const PivotNode& n = tree.nodes[id];
-    if (n.is_leaf) continue;
-    if (n.feature_local >= 0) {
-      i128 value = 0;
-      if (n.owner == ctx.id()) {
-        value = FixedFromDouble(my_features[n.feature_local]);
-      }
-      PIVOT_ASSIGN_OR_RETURN(x_shares[id], eng.Input(n.owner, value));
-      continue;
-    }
-    if (n.lambda_slices.empty()) {
-      return Status::FailedPrecondition(
-          "hidden-feature node without a retained lambda selector "
-          "(selectors are not serialized)");
-    }
-    Ciphertext x_node = ctx.pk().One();
-    bool any = false;
-    for (int p = 0; p < ctx.num_parties(); ++p) {
-      if (p >= static_cast<int>(n.lambda_slices.size()) ||
-          n.lambda_slices[p].empty()) {
-        continue;
-      }
-      std::vector<Ciphertext> partial;
-      if (p == ctx.id()) {
-        std::vector<BigInt> x_fix(n.lambda_slices[p].size());
-        for (size_t e = 0; e < x_fix.size(); ++e) {
-          x_fix[e] = FpToBigInt(FpFromSigned(
-              FixedFromDouble(my_features[n.lambda_features[p][e]])));
-        }
-        partial.push_back(ctx.pk().DotProduct(x_fix, n.lambda_slices[p]));
-        if (ctx.num_parties() > 1) {
-          PIVOT_RETURN_IF_ERROR(ctx.BroadcastCiphertexts(partial));
-        }
-      } else {
-        PIVOT_ASSIGN_OR_RETURN(partial, ctx.RecvCiphertexts(p));
-      }
-      if (partial.size() != 1) {
-        return Status::ProtocolError("selection partial size mismatch");
-      }
-      x_node = any ? ctx.pk().Add(x_node, partial[0]) : partial[0];
-      any = true;
-    }
-    hidden_cts.push_back(x_node);
-    hidden_ids.push_back(id);
-  }
-  if (!hidden_cts.empty()) {
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> hidden_shares,
-                           ctx.CiphertextsToShares(hidden_cts, 0));
-    for (size_t i = 0; i < hidden_ids.size(); ++i) {
-      x_shares[hidden_ids[i]] = hidden_shares[i];
-    }
-  }
-
-  // 2. Comparison bit per internal node: [x <= tau] = 1 - [tau < x]
-  // = LTZ(x - tau - 1) on raw fixed-point integers.
-  std::vector<u128> diffs;
-  std::vector<size_t> diff_node;
-  for (size_t id = 0; id < node_count; ++id) {
-    const PivotNode& n = tree.nodes[id];
-    if (n.is_leaf) continue;
-    u128 d = FpSub(x_shares[id], n.threshold_share);
-    d = eng.AddConst(d, -1);
-    diffs.push_back(d);
-    diff_node.push_back(id);
-  }
-  std::vector<u128> go_left(node_count, 0);
-  if (!diffs.empty()) {
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> bits,
-                           eng.LessThanZeroVec(diffs, k_bound));
-    for (size_t i = 0; i < bits.size(); ++i) go_left[diff_node[i]] = bits[i];
-  }
-
-  // 3. Markers, root to leaves: left = parent·b, right = parent - left.
-  std::vector<u128> marker(node_count, 0);
-  if (!tree.nodes.empty()) marker[0] = eng.ConstantField(1);
-  // Nodes were added parent-before-children, so a forward scan works.
-  for (size_t id = 0; id < node_count; ++id) {
-    const PivotNode& n = tree.nodes[id];
-    if (n.is_leaf) continue;
-    PIVOT_ASSIGN_OR_RETURN(u128 left, eng.Mul(marker[id], go_left[id]));
-    marker[n.left] = left;
-    marker[n.right] = MpcEngine::Sub(marker[id], left);
-  }
-
-  // 4. Prediction = <z> · <eta> over the leaves.
-  std::vector<u128> etas, zs;
-  for (int id : tree.LeafOrder()) {
-    etas.push_back(marker[id]);
-    zs.push_back(tree.nodes[id].leaf_share);
-  }
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> prods, eng.MulVec(etas, zs));
-  u128 acc = 0;
-  for (u128 p : prods) acc = FpAdd(acc, p);
-  return acc;
-}
-
 // Batched selector bits for this party: sel[b*leaves + leaf] is 1 iff
 // row b is consistent with the leaf's root path at every internal node
 // this party owns.
@@ -269,10 +88,10 @@ Result<std::vector<BigInt>> BatchSelectors(
 // Batched Algorithm 4: one round-robin sweep updates all B encrypted
 // prediction vectors — each hop ships one B x leaves ciphertext matrix
 // instead of B separate vectors — and party 0 derives one [k-bar] per
-// sample. Party m-1 encrypts its selector bits directly: Enc(sel) equals
-// (in plaintext value) the scalar path's Rerandomize(ScalarMul(sel,
-// Enc(1))), so the per-sample ones-encryption and its follow-up scalar
-// multiply disappear. Returns the B [k-bar]s on party 0, {} elsewhere.
+// sample. Party m-1 encrypts its selector bits directly: Enc(sel) has
+// the plaintext of Rerandomize(ScalarMul(sel, Enc(1))), Algorithm 4's
+// first hop, without the ones-encryption and the scalar multiply.
+// Returns the B [k-bar]s on party 0, {} elsewhere.
 Result<std::vector<Ciphertext>> RunBasicPredictionBatch(
     PartyContext& ctx, const PivotTree& tree,
     const std::vector<std::vector<double>>& rows,
@@ -329,7 +148,12 @@ Result<std::vector<u128>> RunEnhancedPredictionBatch(
   const size_t node_count = tree.nodes.size();
 
   // 1. Secret-share the feature value at every internal node for every
-  // sample of the batch.
+  // sample of the batch. Nodes with a public feature: the owner inputs
+  // its values. Nodes with a hidden feature (HidingLevel::kFeature /
+  // kClientAndFeature): every involved client selects its candidate
+  // feature values against its retained lambda slice; the homomorphic
+  // sum is the winning feature's value, which is then converted to
+  // shares without anyone learning which feature was used.
   std::vector<u128> x(node_count * batch, 0);
   std::vector<Ciphertext> hidden_cts;  // node-major, `batch` per node
   std::vector<size_t> hidden_ids;
@@ -543,25 +367,9 @@ Result<std::vector<double>> PredictPivotBatch(
 
 Result<double> PredictPivot(PartyContext& ctx, const PivotTree& tree,
                             const std::vector<double>& my_features) {
-  PIVOT_CHECK_MSG(!tree.nodes.empty(), "empty tree");
-  if (tree.protocol == Protocol::kEnhanced) {
-    PIVOT_ASSIGN_OR_RETURN(
-        u128 share, RunEnhancedPredictionShare(ctx, tree, my_features));
-    PIVOT_ASSIGN_OR_RETURN(u128 opened, ctx.engine().Open(share));
-    const i128 raw = FpToSigned(opened);
-    if (tree.task == TreeTask::kRegression) {
-      return FixedToDouble(static_cast<int64_t>(raw));
-    }
-    return static_cast<double>(raw);  // class id at integer scale
-  }
-  PIVOT_ASSIGN_OR_RETURN(Ciphertext kbar,
-                         RunBasicPrediction(ctx, tree, my_features));
-  PIVOT_ASSIGN_OR_RETURN(std::vector<BigInt> plain,
-                         ctx.JointDecrypt({kbar}, 0));
-  if (tree.task == TreeTask::kRegression) {
-    return ctx.PlaintextToDouble(plain[0]);
-  }
-  return static_cast<double>(ctx.PlaintextToSigned(plain[0]));
+  PIVOT_ASSIGN_OR_RETURN(std::vector<double> preds,
+                         PredictPivotBatch(ctx, tree, {my_features}));
+  return preds[0];
 }
 
 Result<std::vector<double>> PredictPivotMany(
@@ -588,15 +396,22 @@ Result<std::vector<double>> PredictPivotMany(
 
 Result<u128> PredictPivotToShare(PartyContext& ctx, const PivotTree& tree,
                                  const std::vector<double>& my_features) {
+  PIVOT_CHECK_MSG(!tree.nodes.empty(), "empty tree");
+  const PredictionCache cache = BuildPredictionCache(ctx.pk(), tree);
   if (tree.protocol == Protocol::kEnhanced) {
-    return RunEnhancedPredictionShare(ctx, tree, my_features);
+    PIVOT_ASSIGN_OR_RETURN(
+        std::vector<u128> shares,
+        RunEnhancedPredictionBatch(ctx, tree, {my_features}, cache));
+    return shares[0];
   }
-  // Basic: Algorithm 4 up to [k-bar], then Algorithm 2. Note: a basic
+  // Basic: Algorithm 4 up to [k-bar], then Algorithm 2 with party 0 as
+  // the holder (only the holder's ciphertexts are read). Note: a basic
   // tree's class prediction is integer-scaled; regression is fixed-point.
-  PIVOT_ASSIGN_OR_RETURN(Ciphertext kbar,
-                         RunBasicPrediction(ctx, tree, my_features));
+  PIVOT_ASSIGN_OR_RETURN(
+      std::vector<Ciphertext> kbars,
+      RunBasicPredictionBatch(ctx, tree, {my_features}, cache));
   PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                         ctx.CiphertextsToShares({kbar}, 0));
+                         ctx.CiphertextsToShares(kbars, 0));
   return shares[0];
 }
 
@@ -605,7 +420,22 @@ Result<Ciphertext> PredictPivotEncrypted(
     const std::vector<double>& my_features) {
   PIVOT_CHECK_MSG(tree.protocol == Protocol::kBasic,
                   "encrypted prediction requires the basic protocol");
-  return RunBasicPrediction(ctx, tree, my_features);
+  const PredictionCache cache = BuildPredictionCache(ctx.pk(), tree);
+  PIVOT_ASSIGN_OR_RETURN(
+      std::vector<Ciphertext> kbar,
+      RunBasicPredictionBatch(ctx, tree, {my_features}, cache));
+  // Party 0 broadcasts [k-bar] so every party holds it.
+  if (ctx.id() == 0) {
+    if (ctx.num_parties() > 1) {
+      PIVOT_RETURN_IF_ERROR(ctx.BroadcastCiphertexts(kbar));
+    }
+  } else {
+    PIVOT_ASSIGN_OR_RETURN(kbar, ctx.RecvCiphertexts(0));
+  }
+  if (kbar.size() != 1) {
+    return Status::ProtocolError("encrypted prediction size mismatch");
+  }
+  return kbar[0];
 }
 
 Result<std::vector<Ciphertext>> PredictTrainingSetEncrypted(

@@ -24,7 +24,13 @@ namespace pivot {
 // shared marker per path with secure comparisons, and open only the final
 // dot product with the shared leaf vector.
 //
-// Both calls are SPMD and return the predicted label to every party.
+// Every entry point below is one batched sweep of these two protocols
+// (RunBasicPredictionBatch / RunEnhancedPredictionBatch in
+// prediction.cc); the single-row calls run a batch of one. All calls are
+// SPMD, and a row narrower than this party's view is InvalidArgument.
+//
+// PredictPivot returns the predicted label to every party; it equals
+// PredictPivotBatch(ctx, tree, {my_features})[0].
 Result<double> PredictPivot(PartyContext& ctx, const PivotTree& tree,
                             const std::vector<double>& my_features);
 
@@ -61,8 +67,8 @@ PredictionCache BuildPredictionCache(const PaillierPublicKey& pk,
 // vectors per network round — each hop carries a B x leaves ciphertext
 // matrix — and ends in a single joint decryption of B ciphertexts; the
 // enhanced protocol's share/compare/marker/dot steps each run once over
-// the concatenated batch. Predictions are bit-identical to per-sample
-// PredictPivot for every batch size and crypto thread count.
+// the concatenated batch. Predictions are bit-identical for every batch
+// size and crypto thread count, and equal the plaintext tree's.
 Result<std::vector<double>> PredictPivotBatch(
     PartyContext& ctx, const PivotTree& tree,
     const std::vector<std::vector<double>>& my_rows,
@@ -76,15 +82,16 @@ Result<std::vector<double>> PredictPivotMany(
     const std::vector<std::vector<double>>& my_rows);
 
 // Returns this party's *share* of the prediction without revealing it
-// (both protocols); the ensemble layer aggregates such shares before
-// opening only the final output.
+// (both protocols; basic converts party 0's [k-bar] with Algorithm 2);
+// the ensemble layer aggregates such shares before opening only the
+// final output.
 Result<u128> PredictPivotToShare(PartyContext& ctx, const PivotTree& tree,
                                  const std::vector<double>& my_features);
 
-// Basic protocol only: runs Algorithm 4 but stops before decryption,
-// returning the encrypted prediction [k-bar] to every party. Used by the
-// ensemble extensions (Section 7), which aggregate or post-process
-// per-tree predictions without revealing them.
+// Basic protocol only: runs Algorithm 4 but stops before decryption;
+// party 0 broadcasts the encrypted prediction [k-bar] to every party.
+// Used by the ensemble extensions (Section 7), which aggregate or
+// post-process per-tree predictions without revealing them.
 Result<Ciphertext> PredictPivotEncrypted(PartyContext& ctx,
                                          const PivotTree& tree,
                                          const std::vector<double>& my_features);

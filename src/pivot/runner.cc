@@ -9,18 +9,14 @@ namespace pivot {
 
 namespace {
 
-void AccumulateStats(NetworkStats& total, const NetworkStats& s) {
-  total.bytes_sent += s.bytes_sent;
-  total.bytes_received += s.bytes_received;
-  total.messages_sent += s.messages_sent;
-  total.messages_received += s.messages_received;
-  total.rounds += s.rounds;
-  total.retransmits += s.retransmits;
-  total.duplicates_suppressed += s.duplicates_suppressed;
-  total.corrupt_frames += s.corrupt_frames;
-  total.nacks_sent += s.nacks_sent;
-  total.reconnects += s.reconnects;
-  total.heartbeats += s.heartbeats;
+// Initialization stage: the trusted key generation ceremony (every
+// client receives the public key and its partial secret key), derived
+// from run_seed alone. The in-process harness and every party process
+// call this, so their key material cannot drift apart; it stands in for
+// the out-of-band distribution a real deployment would use.
+ThresholdPaillier FederationKeys(const PivotParams& params, int num_parties) {
+  Rng key_rng(params.run_seed ^ 0x4b455953 /* "KEYS" */);
+  return GenerateThresholdPaillier(params.key_bits, num_parties, key_rng);
 }
 
 }  // namespace
@@ -32,13 +28,9 @@ Status RunFederationPartitioned(
   PIVOT_CHECK(static_cast<int>(partition.views.size()) == m);
   PIVOT_CHECK(cfg.super_client >= 0 && cfg.super_client < m);
 
-  // Initialization stage: trusted key generation ceremony (every client
-  // receives the public key and its partial secret key). Hoisted above
-  // the attempt loop so restarted parties keep their key material, as a
-  // rebooted real deployment would reload it from disk.
-  Rng key_rng(cfg.params.run_seed ^ 0x4b455953 /* "KEYS" */);
-  ThresholdPaillier keys =
-      GenerateThresholdPaillier(cfg.params.key_bits, m, key_rng);
+  // Hoisted above the attempt loop so restarted parties keep their key
+  // material, as a rebooted real deployment would reload it from disk.
+  const ThresholdPaillier keys = FederationKeys(cfg.params, m);
 
   if (cfg.checkpoint != nullptr) {
     PIVOT_CHECK(cfg.checkpoint->num_parties() == m);
@@ -75,12 +67,12 @@ Status RunFederationPartitioned(
       std::vector<FaultPlan> plans(m, plan);
       NetworkStats s{};
       st = RunLoopbackParties(m, opts, party_body, &s, plans, &fired_mask);
-      AccumulateStats(total, s);
+      total.Add(s);
     } else {
       InMemoryNetwork net(m, cfg.net, cfg.network_sim);
       net.set_fault_plan(plan);
       st = RunParties(net, party_body);
-      AccumulateStats(total, net.stats());
+      total.Add(net.stats());
       fired_mask = net.fired_fault_mask();
     }
     if (st.ok() || cfg.checkpoint == nullptr || attempt >= cfg.max_restarts) {
@@ -102,12 +94,9 @@ Status RunPartyFederation(const VerticalPartition& partition,
   PIVOT_CHECK(cfg.super_client >= 0 && cfg.super_client < m);
   PIVOT_CHECK(static_cast<int>(partition.views.size()) == m);
 
-  // Same deterministic key ceremony as the in-process harness: every
-  // process derives identical key material from run_seed, standing in for
-  // the out-of-band distribution a real deployment would use.
-  Rng key_rng(cfg.params.run_seed ^ 0x4b455953 /* "KEYS" */);
-  ThresholdPaillier keys =
-      GenerateThresholdPaillier(cfg.params.key_bits, m, key_rng);
+  // Same key ceremony as the in-process harness: every process derives
+  // identical key material from run_seed.
+  const ThresholdPaillier keys = FederationKeys(cfg.params, m);
 
   // The checkpoint store outlives attempts; with a persist path it also
   // outlives the process, which is what makes SIGKILL + relaunch resume
@@ -170,7 +159,7 @@ Status RunPartyFederation(const VerticalPartition& partition,
       if (!st.ok() && st.code() != StatusCode::kAborted) {
         net.Abort(st, cfg.party_id);
       }
-      AccumulateStats(total, net.stats());
+      total.Add(net.stats());
       plan = plan.WithoutFiredTransient(net.fired_fault_mask());
     }  // mesh torn down (and the listen address released) before a retry
     if (st.ok() || attempt >= cfg.max_restarts) break;

@@ -21,7 +21,11 @@ double MsSince(std::chrono::steady_clock::time_point start,
 Status ServingSession::Warmup() {
   if (warmed_) return Status::Ok();
   cache_ = BuildPredictionCache(ctx_.pk(), tree_);
-  if (opts_.prewarm_pairs > 0) {
+  // The enhanced sweep encrypts only to convert hidden-feature values, so
+  // a model without lambda selectors never draws a pool pair.
+  const bool draws_pairs =
+      tree_.protocol == Protocol::kBasic || !cache_.lambda.empty();
+  if (opts_.prewarm_pairs > 0 && draws_pairs) {
     ctx_.enc_pool().Prefill(opts_.prewarm_pairs);
   }
   warmed_ = true;

@@ -17,7 +17,9 @@ namespace serve {
 //     fixed-base window tables over retained lambda selectors),
 //   * a pre-warmed offline encryption-randomness pool (Warmup computes
 //     prewarm_pairs (r, r^n) pairs, so online encrypts/rerandomizes cost
-//     one modular multiplication instead of a full exponentiation),
+//     one modular multiplication instead of a full exponentiation;
+//     skipped for an enhanced model without lambda selectors, whose
+//     sweep encrypts nothing),
 //
 // and runs the batched prediction protocol over coalesced request
 // batches: one Algorithm 4 round-robin sweep (or one enhanced-protocol
@@ -34,7 +36,8 @@ class ServingSession {
                  const ServeOptions& opts)
       : ctx_(ctx), tree_(tree), opts_(opts) {}
 
-  // Builds the prediction cache and pre-warms the randomness pool.
+  // Builds the prediction cache and pre-warms the randomness pool when
+  // the model's sweep draws from it.
   // Idempotent; PredictBatch/Serve call it on first use, but serving
   // setups call it explicitly to keep warmup out of the measured path.
   Status Warmup();

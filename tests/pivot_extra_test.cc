@@ -185,6 +185,33 @@ TEST(PivotExtraTest, ReloadedEnhancedTreePredicts) {
   ASSERT_TRUE(st.ok()) << st.ToString();
 }
 
+TEST(PivotExtraTest, NarrowRowIsInvalidArgument) {
+  // A row narrower than the party's feature view must be rejected, not
+  // read past its end, on both protocols. The root's owner sends an
+  // empty row; everyone else sends a full one.
+  Dataset data = TinyClassification(24, 4, 2, 78);
+  FederationConfig cfg;
+  cfg.num_parties = 2;
+  cfg.params.tree.num_classes = 2;
+  cfg.params.tree.max_depth = 2;
+  cfg.params.key_bits = 384;
+  for (Protocol protocol : {Protocol::kBasic, Protocol::kEnhanced}) {
+    SCOPED_TRACE(protocol == Protocol::kBasic ? "basic" : "enhanced");
+    Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+      TrainTreeOptions opts;
+      opts.protocol = protocol;
+      PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+      if (tree.NumInternalNodes() == 0) {
+        return Status::Internal("stump: the tree reads no feature");
+      }
+      std::vector<double> row = SliceRowsForParty(data, ctx.id(), 2)[0];
+      if (ctx.id() == tree.nodes[0].owner) row.clear();
+      return PredictPivot(ctx, tree, row).status();
+    });
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+}
+
 TEST(PivotExtraTest, TrainingIsDeterministicInSeeds) {
   Dataset data = TinyClassification(40, 4, 2, 77);
   FederationConfig cfg;

@@ -3,11 +3,13 @@
 // Three layers:
 //   1. RequestQueue / BatchScheduler unit tests — coalescing, linger,
 //      close semantics, and the follower-side PopExactly contract.
-//   2. Bit-exactness — the batched prediction path (PredictPivotBatch,
-//      ServingSession, and the rewritten PredictPivotMany) must produce
-//      predictions identical to the per-sample scalar protocol, double
-//      for double, for every batch size and crypto thread count, on both
-//      the basic and the enhanced protocol.
+//   2. Bit-exactness — every prediction entry point (ServingSession at
+//      every batch size, PredictPivotMany, and PredictPivot, which is a
+//      batch of one) must produce predictions identical to a plaintext
+//      oracle, double for double, for every crypto thread count, on both
+//      the basic and the enhanced protocol. The oracle evaluates the
+//      public basic tree, or the enhanced tree rebuilt from all parties'
+//      threshold and leaf shares, without any protocol code.
 //   3. Serve-loop end-to-end — the coordinator/follower batch
 //      announcement protocol drains mirrored queues and reports sane
 //      serving statistics.
@@ -19,7 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/fixed_point.h"
 #include "data/synthetic.h"
+#include "mpc/field.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
 #include "pivot/trainer.h"
@@ -72,8 +76,47 @@ std::vector<PivotTree> TrainViews(Protocol protocol, int key_bits) {
   return views;
 }
 
-// Per-sample scalar prediction over the whole tiny set — the reference
-// the batched paths must reproduce exactly.
+// Plaintext oracle over the whole tiny set. Basic trees are public;
+// enhanced trees are rebuilt by summing every view's threshold and leaf
+// shares and evaluated with the protocol's comparison
+// FixedFromDouble(x) <= tau.
+std::vector<double> OraclePredict(const std::vector<PivotTree>& views) {
+  const Dataset data = TinyData();
+  const VerticalPartition part = PartitionVertically(data, kParties);
+  std::vector<std::vector<int>> feature_map;
+  for (const VerticalView& v : part.views) {
+    feature_map.push_back(v.feature_indices);
+  }
+  const PivotTree& tree = views[0];
+  std::vector<double> preds;
+  for (size_t row = 0; row < data.num_samples(); ++row) {
+    if (tree.protocol == Protocol::kBasic) {
+      preds.push_back(tree.EvaluatePlain(data.features[row], feature_map));
+      continue;
+    }
+    int id = 0;
+    while (!tree.nodes[id].is_leaf) {
+      const PivotNode& node = tree.nodes[id];
+      u128 tau = 0;
+      for (const PivotTree& v : views) {
+        tau = FpAdd(tau, v.nodes[id].threshold_share);
+      }
+      const double x =
+          part.views[node.owner].features[row][node.feature_local];
+      id = FixedFromDouble(x) <= FpToSigned(tau) ? node.left : node.right;
+    }
+    u128 leaf = 0;
+    for (const PivotTree& v : views) leaf = FpAdd(leaf, v.nodes[id].leaf_share);
+    const i128 raw = FpToSigned(leaf);
+    preds.push_back(tree.task == TreeTask::kRegression
+                        ? FixedToDouble(static_cast<int64_t>(raw))
+                        : static_cast<double>(raw));
+  }
+  return preds;
+}
+
+// Per-sample PredictPivot over the whole tiny set (a batch of one per
+// row).
 std::vector<double> ScalarPredict(const std::vector<PivotTree>& views,
                                   int key_bits) {
   const Dataset data = TinyData();
@@ -232,35 +275,44 @@ TEST(BatchSchedulerTest, NextBatchHonorsBatchSize) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Bit-exactness against the scalar protocol.
+// 2. Bit-exactness against the plaintext oracle.
 // ---------------------------------------------------------------------------
 
 TEST(ServingBitExactTest, BasicBatchedMatchesScalarAtEveryBatchSize) {
   const auto views = TrainViews(Protocol::kBasic, 256);
+  const auto oracle = OraclePredict(views);
   const auto scalar = ScalarPredict(views, 256);
   ASSERT_EQ(scalar.size(), TinyData().num_samples());
+  EXPECT_EQ(scalar, oracle);
   for (int batch_size : {1, 2, 3, 4, 8}) {
     const auto batched = ServePredict(views, 256, batch_size, 1);
     EXPECT_EQ(batched, scalar) << "batch_size=" << batch_size;
+    EXPECT_EQ(batched, oracle) << "batch_size=" << batch_size;
   }
 }
 
 TEST(ServingBitExactTest, EnhancedBatchedMatchesScalarAtEveryBatchSize) {
   const auto views = TrainViews(Protocol::kEnhanced, 384);
+  const auto oracle = OraclePredict(views);
   const auto scalar = ScalarPredict(views, 384);
   ASSERT_EQ(scalar.size(), TinyData().num_samples());
+  EXPECT_EQ(scalar, oracle);
   for (int batch_size : {1, 3, 8}) {
     const auto batched = ServePredict(views, 384, batch_size, 1);
     EXPECT_EQ(batched, scalar) << "batch_size=" << batch_size;
+    EXPECT_EQ(batched, oracle) << "batch_size=" << batch_size;
   }
 }
 
 TEST(ServingBitExactTest, CryptoThreadCountDoesNotChangePredictions) {
   const auto views = TrainViews(Protocol::kBasic, 256);
+  const auto oracle = OraclePredict(views);
   const auto scalar = ScalarPredict(views, 256);
   const auto fanned = ServePredict(views, 256, /*batch_size=*/4,
                                    /*crypto_threads=*/4);
+  EXPECT_EQ(scalar, oracle);
   EXPECT_EQ(fanned, scalar);
+  EXPECT_EQ(fanned, oracle);
 }
 
 TEST(ServingBitExactTest, PredictPivotManyMatchesScalar) {
@@ -281,7 +333,9 @@ TEST(ServingBitExactTest, PredictPivotManyMatchesScalar) {
         return Status::Ok();
       });
   ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(scalar, OraclePredict(views));
   EXPECT_EQ(many, scalar);
+  EXPECT_EQ(many, OraclePredict(views));
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +349,7 @@ TEST(ServingSessionTest, ServeReportsSaneStats) {
                                   /*crypto_threads=*/1, &stats);
   const size_t n = TinyData().num_samples();
   ASSERT_EQ(preds.size(), n);
+  EXPECT_EQ(preds, OraclePredict(views));
   EXPECT_EQ(stats.requests, n);
   EXPECT_EQ(stats.batches, (n + 3) / 4);
   EXPECT_GT(stats.requests_per_sec, 0.0);

@@ -66,9 +66,18 @@ VICTIM=$LAST_PID
 launch 2 ""
 P2=$LAST_PID
 
-# Let training get past mesh establishment and the first checkpoints,
-# then kill the victim without any chance to clean up.
-sleep 2
+# Kill the victim, without any chance to clean up, once training is
+# under way: its checkpoint store has grown past the empty store (24
+# bytes: magic, version, epoch, count) it writes at start-up. A fixed
+# sleep could outlast a short training run. The poll gives up after 60 s
+# and kills anyway.
+polls=0
+while [ "$polls" -lt 600 ]; do
+  size=$(wc -c 2>/dev/null < ckpt/party1.ckpt || echo 0)
+  [ "$size" -gt 24 ] && break
+  sleep 0.1
+  polls=$((polls + 1))
+done
 kill -9 "$VICTIM" 2>/dev/null || true
 wait "$VICTIM" 2>/dev/null || true
 echo "   party 1 (pid $VICTIM) SIGKILLed; relaunching"

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -414,6 +416,44 @@ TEST(SocketTransportTest, HandshakeVersionMismatchFailsFast) {
   EXPECT_NE(dial_st.message().find("version mismatch"), std::string::npos)
       << dial_st.ToString();
   EXPECT_FALSE(accept_st.ok());  // nobody compatible ever dialed in
+}
+
+TEST(SocketTransportTest, DialedPeerDropDuringDialInWaitFailsFast) {
+  // Party 1 dials party 0, then waits for party 2, which never dials in.
+  // Party 0 goes away during that wait. Nothing redials before
+  // supervision starts, so Establish must fail at once and name party 0
+  // instead of waiting out its 30 s deadline.
+  SocketOptions waiter_opts = FastSocketOptions();
+  waiter_opts.establish_timeout_ms = 30'000;
+  SocketOptions dialed_opts = FastSocketOptions();
+  dialed_opts.establish_timeout_ms = 2'000;
+  SocketNetwork waiter(1, 3, waiter_opts);
+  auto dialed = std::make_unique<SocketNetwork>(0, 3, dialed_opts);
+  ASSERT_TRUE(waiter.Bind("127.0.0.1:0").ok());
+  ASSERT_TRUE(dialed->Bind("127.0.0.1:0").ok());
+  // Party 2 never binds; nobody dials its address.
+  const std::vector<std::string> addrs = {
+      dialed->listen_address(), waiter.listen_address(), "127.0.0.1:1"};
+  Status dialed_st;
+  std::thread td([&] {
+    dialed_st = dialed->Establish(addrs);
+    dialed.reset();  // closes the accepted link to party 1
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const Status st = waiter.Establish(addrs);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  td.join();
+  EXPECT_FALSE(dialed_st.ok());  // party 2 never dialed party 0 either
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("connection to party 0 dropped"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("not connected to party 0, 2"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_LT(elapsed_ms, 10'000) << st.ToString();
 }
 
 TEST(SocketTransportTest, RecvTimeoutNamesPeerLiveness) {
