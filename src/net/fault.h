@@ -7,15 +7,16 @@
 
 namespace pivot {
 
-// Deterministic fault injection for the in-process party mesh.
+// Deterministic fault injection for the party mesh (both transports).
 //
 // A FaultPlan is a small list of scheduled faults, each keyed on a
 // *logical* position — the Nth message sent on a directed channel, or the
 // Nth network operation a party performs — so a plan reproduces the exact
-// same failure regardless of thread interleaving. Plans are installed on
-// an InMemoryNetwork before the party threads start and consulted from
-// Endpoint::Send/Recv; when no plan is installed the hot path costs one
-// pointer null-check.
+// same failure regardless of thread interleaving. The federation runners
+// (pivot/runner.h) install a plan on each attempt's network —
+// InMemoryNetwork or SocketNetwork — before any party traffic, and the
+// reliable endpoint consults it from Send/Recv; when no plan is
+// installed the hot path costs one pointer null-check.
 //
 // The chaos test suite (tests/chaos_test.cc) derives plans from a 64-bit
 // seed via FaultPlan::FromSeed and sweeps hundreds of seeds. Fatal-only
@@ -54,9 +55,9 @@ namespace pivot {
 //   duplicate                  always transient — duplicate suppression
 //                              masks it unconditionally
 //   crash                      transient => masked by checkpoint/resume
-//                              (FederationConfig::max_restarts); fatal
+//                              (RunnerConfig::max_restarts); fatal
 //                              => permanent party loss, aborts the run
-//   sever / mute               connection faults, socket backend only
+//   sever / mute               connection faults, socket transport only
 //                              (the in-memory mesh has no connections to
 //                              cut, so it treats them as no-ops). sever
 //                              closes the TCP/Unix connection at the nth
@@ -79,8 +80,8 @@ enum class FaultKind {
   kCorrupt,    // one bit of the message body flipped
   kCrash,      // party's network ops all fail from the trigger point on
   kStall,      // party sleeps delay_ms at the trigger point (interruptible)
-  kSever,      // socket backend: connection closed at the nth outbound frame
-  kMute,       // socket backend: outbound (incl. heartbeats) suppressed
+  kSever,      // sockets only: connection closed at the nth outbound frame
+  kMute,       // sockets only: outbound (incl. heartbeats) suppressed
                // for delay_ms — models a hung connection
 };
 
@@ -137,8 +138,8 @@ class FaultPlan {
 
   // Plan for a recovery attempt after a party restart: keeps every fatal
   // action plus any transient action that has not yet fired (bit
-  // `index & 63` of `fired_mask`, as reported by
-  // InMemoryNetwork::fired_fault_mask). A transient crash that already
+  // `index & 63` of `fired_mask`, as reported by the network's
+  // fired_fault_mask()). A transient crash that already
   // fired must not crash the restarted party again.
   FaultPlan WithoutFiredTransient(uint64_t fired_mask) const;
 

@@ -529,21 +529,9 @@ void SocketNetwork::HandleInbound(int fd) {
     ::close(fd);
     return;
   }
-  // Answer with this party's identity before the version check so the
-  // dialer can diagnose a mismatch; the mismatched connection is then
-  // dropped without being adopted.
-  HelloFrame ack;
-  ack.version = options_.handshake_version;
-  ack.party_id = party_id_;
-  ack.num_parties = num_parties_;
-  ack.incarnation = incarnation_;
-  const Bytes ack_frame =
-      EncodeStreamFrame(StreamFrameType::kHelloAck, EncodeHello(ack));
-  if (!WriteAllFd(fd, ack_frame.data(), ack_frame.size()).ok() ||
-      hello.version != options_.handshake_version) {
-    ::close(fd);
-    return;
-  }
+  // A changed incarnation means the peer process restarted: this mesh's
+  // channel state with it is gone. Refuse before acking, so the relaunched
+  // dialer keeps retrying until the next attempt's fresh mesh answers.
   uint64_t seen = 0;
   {
     std::lock_guard<std::mutex> lock(links_[p]->mu);
@@ -557,6 +545,21 @@ void SocketNetwork::HandleInbound(int fd) {
               "state is gone; aborting so the next attempt re-establishes "
               "the mesh and resumes from checkpoints"),
           party_id_);
+    return;
+  }
+  // Answer with this party's identity before the version check so the
+  // dialer can diagnose a mismatch; the mismatched connection is then
+  // dropped without being adopted.
+  HelloFrame ack;
+  ack.version = options_.handshake_version;
+  ack.party_id = party_id_;
+  ack.num_parties = num_parties_;
+  ack.incarnation = incarnation_;
+  const Bytes ack_frame =
+      EncodeStreamFrame(StreamFrameType::kHelloAck, EncodeHello(ack));
+  if (!WriteAllFd(fd, ack_frame.data(), ack_frame.size()).ok() ||
+      hello.version != options_.handshake_version) {
+    ::close(fd);
     return;
   }
   AdoptConnection(p, fd, hello.incarnation);
@@ -829,8 +832,7 @@ void SocketNetwork::ApplyLinkFault(int to, const FaultAction& action) {
 Status RunLoopbackParties(int num_parties, const SocketOptions& options,
                           const std::function<Status(int, Endpoint&)>& body,
                           NetworkStats* stats,
-                          const std::vector<FaultPlan>& plans,
-                          uint64_t* fired_fault_mask) {
+                          const std::vector<FaultPlan>& plans) {
   PIVOT_CHECK(num_parties >= 1);
   std::vector<std::unique_ptr<SocketNetwork>> nets;
   nets.reserve(num_parties);
@@ -869,12 +871,6 @@ Status RunLoopbackParties(int num_parties, const SocketOptions& options,
       const NetworkStats s = nets[i]->stats();
       stats->reconnects += s.reconnects;
       stats->heartbeats += s.heartbeats;
-    }
-  }
-  if (fired_fault_mask != nullptr) {
-    *fired_fault_mask = 0;
-    for (int i = 0; i < num_parties; ++i) {
-      *fired_fault_mask |= nets[i]->fired_fault_mask();
     }
   }
   return RootCauseStatus(statuses);

@@ -30,7 +30,8 @@ namespace pivot {
 // CRC32 + NACK retransmit) the in-memory mesh runs — so a protocol run
 // over real file descriptors is bit-identical to the single-process run,
 // and the checkpoint/resume machinery carries over unchanged to real
-// process crashes. As a carrier, SocketNetwork supplies kData/kNack
+// process crashes. RunPartyFederation (pivot/runner.h) builds one per
+// attempt. As a carrier, SocketNetwork supplies kData/kNack
 // stream frames on the link writers, per-peer inbound data and control
 // queues filled by the receiver threads, the kSever/kMute link faults,
 // and the peer's liveness for Recv timeout errors.
@@ -43,9 +44,9 @@ namespace pivot {
 // one SocketNetwork instance: a reconnect presenting the *same*
 // incarnation resumes the channel (missing frames recovered via NACK
 // from the bounded resend window), while a *changed* incarnation means
-// the peer process restarted and its channel state is gone — the run
-// aborts and the next attempt re-establishes a fresh mesh, resuming
-// from checkpoints.
+// the peer process restarted and its channel state is gone — the
+// acceptor refuses the dial without a kHelloAck, the run aborts and the
+// next attempt re-establishes a fresh mesh, resuming from checkpoints.
 //
 // Threads per process: one accept loop, one supervisor loop
 // (ConnectionSupervisor Tick: heartbeats, dead-peer detection,
@@ -236,19 +237,16 @@ class SocketNetwork : public ChannelCarrier {
   std::atomic<uint64_t> heartbeat_seq_{0};
 };
 
-// Loopback harness: runs `body(party_id, endpoint)` for `num_parties`
-// SocketNetworks over 127.0.0.1 TCP in one process — the socket-backend
-// twin of RunParties, used by RunFederation's socket mode and the
-// transport tests. Each party binds an ephemeral port, the mesh is
-// established, and statuses are combined with the same root-cause
-// preference as RunParties. `plans[i]` (when provided) installs a fault
-// plan on party i's network; `fired_fault_mask` (when non-null) receives
-// the OR of all parties' fired masks.
+// Loopback harness for the transport tests: runs `body(party_id,
+// endpoint)` for `num_parties` SocketNetworks over 127.0.0.1 TCP in one
+// process — the socket twin of RunParties. Each party binds an ephemeral
+// port, the mesh is established, and statuses are combined with the same
+// root-cause preference as RunParties. `plans[i]` (when provided)
+// installs a fault plan on party i's network.
 Status RunLoopbackParties(
     int num_parties, const SocketOptions& options,
     const std::function<Status(int, Endpoint&)>& body,
-    NetworkStats* stats = nullptr, const std::vector<FaultPlan>& plans = {},
-    uint64_t* fired_fault_mask = nullptr);
+    NetworkStats* stats = nullptr, const std::vector<FaultPlan>& plans = {});
 
 }  // namespace pivot
 

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -20,7 +18,7 @@ namespace pivot {
 // the tree built so far, the pending-node work stack with its encrypted
 // mask vectors, and the exact positions of every randomness stream —
 // after each completed node. When a party crashes mid-training, the
-// runner (pivot/runner.h, FederationConfig::max_restarts) restarts the
+// runner (pivot/runner.h, RunnerConfig::max_restarts) restarts the
 // federation; on entry each party broadcasts its latest checkpoint
 // index, all parties rewind to the *minimum* (parties can be a node or
 // two apart at the moment of a crash), restore, and continue from the
@@ -48,9 +46,11 @@ namespace pivot {
 //   v2 appends: u64 offline encryption-randomness pool cursor (the next
 //     (r, r^n) pair index; see crypto/paillier_batch.h)
 //
-// Snapshots live in memory (CheckpointStore), mirroring how each real
-// party would persist to its own local disk; the store is the per-party
-// unit a restarted party thread reattaches to.
+// Snapshots live in a per-party CheckpointStore owned by the runner: the
+// in-process runner keeps one per party thread exactly when
+// max_restarts > 0, and a party process keeps its own (mirrored to disk
+// with a persist path). The store outlives attempts, so a restarted
+// party reattaches to its own snapshots.
 
 class CheckpointStore {
  public:
@@ -107,25 +107,6 @@ class CheckpointStore {
   uint64_t epoch_ = 0;
   std::string persist_path_;  // empty = in-memory only
   std::deque<std::pair<uint64_t, Bytes>> snapshots_;  // ascending index
-};
-
-// One store per party of a federation. The object outlives individual
-// training attempts: the runner keeps it across restarts so a rebooted
-// party finds its own snapshots.
-class FederationCheckpoint {
- public:
-  explicit FederationCheckpoint(int num_parties, int history = 4) {
-    stores_.reserve(num_parties);
-    for (int i = 0; i < num_parties; ++i) {
-      stores_.push_back(std::make_unique<CheckpointStore>(history));
-    }
-  }
-
-  int num_parties() const { return static_cast<int>(stores_.size()); }
-  CheckpointStore& party(int i) { return *stores_[i]; }
-
- private:
-  std::vector<std::unique_ptr<CheckpointStore>> stores_;
 };
 
 // RngState codec shared by the trainer's snapshot writer/reader.

@@ -2,48 +2,37 @@
 #define PIVOT_PIVOT_RUNNER_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "data/dataset.h"
-#include "net/socket.h"
-#include "pivot/checkpoint.h"
+#include "net/fault.h"
+#include "net/network.h"
 #include "pivot/context.h"
 
 namespace pivot {
 
-// Which transport the federation harness runs the party mesh over. Both
-// backends speak the same reliable frame format, and partitioning, key
-// generation and randomness are all derived from params.run_seed, so the
-// trained model is bit-identical across backends.
-enum class NetBackend {
-  kInMemory,  // one thread per party, std::deque mesh (net/network.h)
-  kSocket,    // one SocketNetwork per party over 127.0.0.1 (net/socket.h)
-};
+// Federation runners. Both play the paper's initialization stage —
+// vertical alignment, hyper-parameter consensus and the threshold key
+// ceremony, all derived from the data and params.run_seed — and then run
+// `body` with each client's PartyContext on one attempt loop:
+//
+//   RunFederation / RunFederationPartitioned  every party in this process,
+//       one thread each, over the in-memory mesh (net/network.h). This is
+//       what tests, benches and examples use to stand up an m-party Pivot
+//       deployment on one machine.
+//   RunPartyFederation  one party of a multi-process federation over the
+//       socket transport (net/socket.h); what `pivot_cli party` runs.
+//
+// Because partitioning, keys and randomness depend on nothing but the
+// data and the params, both runners train bit-identical models.
 
-// In-process federation harness: plays the paper's initialization stage
-// (vertical alignment, hyper-parameter consensus, threshold key
-// generation) and then runs one thread per client executing `body` with
-// that client's PartyContext. This is what tests, benches and examples
-// use to stand up an m-party Pivot deployment on one machine.
-struct FederationConfig {
-  int num_parties = 3;
+// Settings both runners carry.
+struct RunnerConfig {
   // The client holding the labels (the paper's super client).
   int super_client = 0;
   PivotParams params;
-  // Transport backend. kSocket runs the same party threads over real
-  // loopback TCP connections with connection supervision; NetworkSim is
-  // ignored there (real wires have real latency).
-  NetBackend backend = NetBackend::kInMemory;
-  // Heartbeat/reconnect tunables for the socket backend.
-  SupervisorConfig supervision;
-  // Optional LAN emulation (latency/bandwidth); see net/network.h.
-  NetworkSim network_sim;
-  // Optional deterministic fault injection (chaos testing); see
-  // net/fault.h. Empty = no faults.
-  FaultPlan fault_plan;
-  // Reliable-channel tunables for the party mesh (net/network.h). The
+  // Reliable-channel tunables for the party mesh (net/channel.h). The
   // default recv timeout is generous so slow Paillier batches never trip
   // it; chaos tests shrink it so injected delays surface quickly.
   NetConfig net = [] {
@@ -51,14 +40,25 @@ struct FederationConfig {
     c.recv_timeout_ms = 600'000;
     return c;
   }();
-  // Optional checkpoint stores, one per party (pivot/checkpoint.h). When
-  // set, each party's context gets its store wired in, the trainer
-  // snapshots after every completed node, and a failed attempt is
-  // restarted (up to max_restarts times) resuming from the latest common
-  // snapshot. Transient faults that already fired are removed from the
-  // fault plan between attempts; fatal ones persist.
-  std::shared_ptr<FederationCheckpoint> checkpoint;
+  // Optional deterministic fault injection (chaos testing); see
+  // net/fault.h. Empty = no faults.
+  FaultPlan fault_plan;
+  // Attempts beyond the first. Each attempt runs over a fresh mesh;
+  // checkpoint stores (pivot/checkpoint.h) persist across attempts, so
+  // the trainer resumes from the latest common snapshot. Transient faults
+  // that already fired are removed from the plan between attempts; fatal
+  // ones persist.
   int max_restarts = 0;
+};
+
+// In-process federation: one thread per client over the in-memory mesh.
+// With max_restarts > 0 the runner owns one checkpoint store per party,
+// wires it into that party's context and restarts a failed attempt;
+// with max_restarts == 0 nothing is snapshotted.
+struct FederationConfig : RunnerConfig {
+  int num_parties = 3;
+  // Optional LAN emulation (latency/bandwidth); see net/network.h.
+  NetworkSim network_sim;
 };
 
 // Partitions `data` vertically across cfg.num_parties clients (labels go
@@ -90,35 +90,24 @@ std::vector<std::vector<double>> SliceRowsForParty(const Dataset& data,
 // (PartitionVertically keyed on nothing but the data), and derives the
 // threshold keys from params.run_seed — so no out-of-band exchange is
 // needed and the final model is bit-identical to the single-process run.
-struct PartyConfig {
+struct PartyConfig : RunnerConfig {
+  // A peer crash surfaces here as an abort (changed handshake
+  // incarnation); each retry tears the mesh down, rebinds the same
+  // address and re-establishes. Several attempts can be burned while
+  // processes converge on a fresh mesh, so the default budget is more
+  // generous than the in-process one.
+  PartyConfig() { max_restarts = 5; }
+
   int party_id = 0;
   // addresses[j] = party j's listen address ("host:port" or "unix:PATH").
   // This party binds its own entry and dials/accepts the rest by rank.
   std::vector<std::string> addresses;
-  int super_client = 0;
-  PivotParams params;
-  // Reliable-channel tunables; same generous default recv timeout as
-  // FederationConfig.
-  NetConfig net = [] {
-    NetConfig c;
-    c.recv_timeout_ms = 600'000;
-    return c;
-  }();
-  SupervisorConfig supervision;
   // Directory for this party's persistent checkpoint store
   // (<dir>/party<id>.ckpt). When set, snapshots survive a process
   // SIGKILL: the relaunched process reloads the store and rejoins the
   // federation at the negotiated min-index. Empty = in-memory
   // checkpoints only (restarts within the process still resume).
   std::string checkpoint_dir;
-  int checkpoint_history = 4;
-  // Attempts beyond the first. A peer crash surfaces here as an abort
-  // (changed handshake incarnation); each retry tears the mesh down,
-  // rebinds the same address and re-establishes. Several attempts can be
-  // burned while processes converge on a fresh mesh, so this should be
-  // more generous than the in-memory max_restarts.
-  int max_restarts = 5;
-  FaultPlan fault_plan;
 
   // ----- orchestrator control hooks (all optional) ---------------------
   // Wired by `pivot_cli party --control-fd/--go-fd` when the process runs
@@ -147,9 +136,10 @@ struct PartyConfig {
 // Runs one party of a multi-process federation over the socket transport:
 // binds, establishes the mesh, then executes `body(ctx)` with this
 // party's view, restarting (up to max_restarts) on failures so the
-// surviving processes ride out a peer crash + relaunch. Returns the final
-// attempt's status. `stats` (optional) accumulates this process's
-// traffic across attempts.
+// surviving processes ride out a peer crash + relaunch. The party always
+// checkpoints into its own store, on disk when checkpoint_dir is set.
+// Returns the final attempt's status. `stats` (optional) accumulates this
+// process's traffic across attempts.
 Status RunPartyFederation(const VerticalPartition& partition,
                           const PartyConfig& cfg,
                           const std::function<Status(PartyContext&)>& body,

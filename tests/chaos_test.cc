@@ -33,7 +33,6 @@
 #include "net/codec.h"
 #include "net/fault.h"
 #include "net/network.h"
-#include "pivot/checkpoint.h"
 #include "pivot/malicious.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
@@ -453,7 +452,6 @@ TEST(ChaosRecoveryTest, CrashRecoveryResumesAndBitMatches) {
     cfg.fault_plan =
         FaultPlan::FromSeed(seed, kParties, kFatalMs, /*max_op=*/40,
                             /*max_msg=*/12, FaultMix::kCrashRecovery);
-    cfg.checkpoint = std::make_shared<FederationCheckpoint>(kParties);
     cfg.max_restarts = 2;
     std::vector<Bytes> prints;
     const auto start = std::chrono::steady_clock::now();
@@ -511,7 +509,6 @@ TEST(ChaosRecoveryTest, CrashRecoveryBitMatchesWithParallelCrypto) {
   cfg.fault_plan =
       FaultPlan::FromSeed(0x2F000000ULL, kParties, kFatalMs, /*max_op=*/40,
                           /*max_msg=*/12, FaultMix::kCrashRecovery);
-  cfg.checkpoint = std::make_shared<FederationCheckpoint>(kParties);
   cfg.max_restarts = 2;
   std::vector<Bytes> prints;
   const Status st = TrainAndFingerprint(data, cfg, &prints);

@@ -132,15 +132,6 @@ TEST(CheckpointStoreFileTest, MalformedFileIsAnError) {
   std::remove(path.c_str());
 }
 
-TEST(FederationCheckpointTest, OneStorePerParty) {
-  FederationCheckpoint fed(3);
-  EXPECT_EQ(fed.num_parties(), 3);
-  fed.party(0).BeginEpoch(1);
-  fed.party(0).Save(1, 0, Blob(1));
-  EXPECT_EQ(fed.party(0).LatestIndex(1), 0u);
-  EXPECT_EQ(fed.party(1).LatestIndex(1), CheckpointStore::kNone);
-}
-
 TEST(RngStateCodecTest, RoundTripPreservesStream) {
   Rng rng(0xDEADBEEF);
   (void)rng.NextU64();

@@ -12,9 +12,12 @@
 // rejection, and the socket-only fault kinds (kSever / kMute) with their
 // reconnect-or-abort contracts.
 //
-// Tier 3 (SocketBackendTest): RunFederation with backend = kSocket must
-// produce the bit-identical tree to the in-memory backend — the property
-// that makes the multi-process crash-resume fingerprint check meaningful.
+// Tier 3 (SocketBackendTest, PartyFederationTest): one thread per party,
+// each running RunPartyFederation — the runner `pivot_cli party` runs per
+// process — over Unix-domain sockets must produce the bit-identical tree
+// to the in-memory RunFederation, fault-free and across a crash + resume.
+// This is the property that makes the multi-process crash-resume
+// fingerprint check meaningful.
 
 #include "net/socket.h"
 
@@ -22,6 +25,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/op_counters.h"
 #include "common/sha256.h"
 #include "data/synthetic.h"
 #include "net/fault.h"
@@ -456,6 +461,40 @@ TEST(SocketTransportTest, DialedPeerDropDuringDialInWaitFailsFast) {
   EXPECT_LT(elapsed_ms, 10'000) << st.ToString();
 }
 
+TEST(SocketTransportTest, RestartedDialerIsRefusedBeforeHelloAck) {
+  // Party 1 restarts (a new SocketNetwork, so a new incarnation) and
+  // dials party 0's established mesh. Party 0 must refuse without a
+  // kHelloAck, so the relaunched party keeps dialing (here until its
+  // establish deadline) instead of adopting a mesh that is about to go,
+  // and party 0 aborts naming the restart.
+  SocketNetwork acceptor(0, 2, FastSocketOptions());
+  SocketNetwork dialer(1, 2, FastSocketOptions());
+  ASSERT_TRUE(acceptor.Bind("127.0.0.1:0").ok());
+  ASSERT_TRUE(dialer.Bind("127.0.0.1:0").ok());
+  const std::vector<std::string> addrs = {acceptor.listen_address(),
+                                          dialer.listen_address()};
+  Status accept_st;
+  std::thread ta([&] { accept_st = acceptor.Establish(addrs); });
+  const Status dial_st = dialer.Establish(addrs);
+  ta.join();
+  ASSERT_TRUE(dial_st.ok()) << dial_st.ToString();
+  ASSERT_TRUE(accept_st.ok()) << accept_st.ToString();
+
+  SocketOptions relaunch_opts = FastSocketOptions();
+  relaunch_opts.establish_timeout_ms = 1'000;
+  SocketNetwork relaunched(1, 2, relaunch_opts);
+  ASSERT_TRUE(relaunched.Bind("127.0.0.1:0").ok());
+  const Status st = relaunched.Establish(addrs);
+  ASSERT_FALSE(st.ok()) << "the restarted dialer was acked";
+  EXPECT_NE(st.message().find("could not establish a connection to party 0"),
+            std::string::npos)
+      << st.ToString();
+  ASSERT_TRUE(acceptor.aborted());
+  EXPECT_NE(acceptor.abort_status().message().find("party 1 restarted"),
+            std::string::npos)
+      << acceptor.abort_status().ToString();
+}
+
 TEST(SocketTransportTest, RecvTimeoutNamesPeerLiveness) {
   // Party 1 stays silent; party 0's Recv timeout must say how the link
   // to the peer looked (connected + recently heard via heartbeats), so a
@@ -484,32 +523,49 @@ TEST(SocketTransportTest, TransientSeverReconnectsAndRecovers) {
   FaultPlan plan;
   plan.Add({FaultKind::kSever, /*party=*/0, /*peer=*/1, /*nth=*/2, 0, 0,
             /*fatal=*/false});
-  std::vector<FaultPlan> plans = {plan, FaultPlan()};
-  NetworkStats stats;
-  uint64_t fired = 0;
-  const Status st = RunLoopbackParties(
-      2, FastSocketOptions(/*recv_timeout_ms=*/20'000),
-      [](int id, Endpoint& ep) -> Status {
-        for (int i = 0; i < 8; ++i) {
-          if (id == 0) {
-            PIVOT_RETURN_IF_ERROR(ep.Send(1, Bytes{static_cast<uint8_t>(i)}));
-          } else {
-            PIVOT_ASSIGN_OR_RETURN(Bytes msg, ep.Recv(0));
-            if (msg != Bytes{static_cast<uint8_t>(i)}) {
-              return Status::Internal("out-of-order after reconnect");
-            }
-          }
+  const SocketOptions opts = FastSocketOptions(/*recv_timeout_ms=*/20'000);
+  SocketNetwork a(0, 2, opts);
+  SocketNetwork b(1, 2, opts);
+  a.set_fault_plan(plan);
+  ASSERT_TRUE(a.Bind("127.0.0.1:0").ok());
+  ASSERT_TRUE(b.Bind("127.0.0.1:0").ok());
+  const std::vector<std::string> addrs = {a.listen_address(),
+                                          b.listen_address()};
+  const auto run = [&addrs](int id, SocketNetwork& net) -> Status {
+    Status st = net.Establish(addrs);
+    for (int i = 0; st.ok() && i < 8; ++i) {
+      if (id == 0) {
+        st = net.endpoint().Send(1, Bytes{static_cast<uint8_t>(i)});
+      } else {
+        Result<Bytes> msg = net.endpoint().Recv(0);
+        if (!msg.ok()) {
+          st = msg.status();
+        } else if (msg.value() != Bytes{static_cast<uint8_t>(i)}) {
+          st = Status::Internal("out-of-order after reconnect");
         }
-        // Reverse direction proves the link is healthy again.
-        if (id == 1) return ep.Send(0, Bytes{99});
-        PIVOT_ASSIGN_OR_RETURN(Bytes ack, ep.Recv(1));
-        return ack == Bytes{99} ? Status::Ok()
-                                : Status::Internal("bad final ack");
-      },
-      &stats, plans, &fired);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(fired, 1u);
-  EXPECT_GE(stats.reconnects, 1u);
+      }
+    }
+    // Reverse direction proves the link is healthy again.
+    if (st.ok() && id == 1) st = net.endpoint().Send(0, Bytes{99});
+    if (st.ok() && id == 0) {
+      Result<Bytes> ack = net.endpoint().Recv(1);
+      if (!ack.ok()) {
+        st = ack.status();
+      } else if (ack.value() != Bytes{99}) {
+        st = Status::Internal("bad final ack");
+      }
+    }
+    if (!st.ok() && st.code() != StatusCode::kAborted) net.Abort(st, id);
+    return st;
+  };
+  Status sa;
+  std::thread ta([&] { sa = run(0, a); });
+  const Status sb = run(1, b);
+  ta.join();
+  EXPECT_TRUE(sa.ok()) << sa.ToString();
+  EXPECT_TRUE(sb.ok()) << sb.ToString();
+  EXPECT_EQ(a.fired_fault_mask(), 1u);
+  EXPECT_GE(a.stats().reconnects + b.stats().reconnects, 1u);
 }
 
 TEST(SocketTransportTest, FatalSeverExhaustsBudgetAndAborts) {
@@ -575,17 +631,19 @@ TEST(SocketTransportTest, MutedConnectionDetectedByHeartbeatTimeout) {
   EXPECT_GE(stats.reconnects, 1u);
 }
 
-// ----- tier 3: the federation backend ----------------------------------
+// ----- tier 3: the party runner ----------------------------------------
 
-TEST(SocketBackendTest, SocketFederationBitMatchesInMemory) {
+Dataset TierThreeData() {
   ClassificationSpec spec;
   spec.num_samples = 16;
   spec.num_features = 6;
   spec.num_classes = 2;
   spec.class_separation = 2.5;
   spec.seed = 17;
-  const Dataset data = MakeClassification(spec);
+  return MakeClassification(spec);
+}
 
+FederationConfig TierThreeConfig() {
   FederationConfig cfg;
   cfg.num_parties = 3;
   cfg.params.tree.task = TreeTask::kClassification;
@@ -594,30 +652,107 @@ TEST(SocketBackendTest, SocketFederationBitMatchesInMemory) {
   cfg.params.tree.max_splits = 4;
   cfg.params.tree.min_samples_split = 5;
   cfg.params.key_bits = 256;
+  return cfg;
+}
 
-  auto fingerprint = [&](NetBackend backend,
-                         std::vector<Bytes>* prints) -> Status {
-    cfg.backend = backend;
-    prints->assign(cfg.num_parties, {});
-    std::mutex mu;
-    return RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
-      TrainTreeOptions opts;
-      opts.protocol = Protocol::kBasic;
-      PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
-      const auto digest = Sha256::Hash(SerializePivotTree(tree));
-      std::lock_guard<std::mutex> lock(mu);
-      (*prints)[ctx.id()] = Bytes(digest.begin(), digest.end());
-      return Status::Ok();
-    });
+// Party body: trains one basic-protocol tree and records its digest in
+// `prints[party]`.
+std::function<Status(PartyContext&)> TrainAndFingerprint(
+    std::vector<Bytes>* prints, std::mutex* mu) {
+  return [prints, mu](PartyContext& ctx) -> Status {
+    TrainTreeOptions opts;
+    opts.protocol = Protocol::kBasic;
+    PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+    const auto digest = Sha256::Hash(SerializePivotTree(tree));
+    std::lock_guard<std::mutex> lock(*mu);
+    (*prints)[ctx.id()] = Bytes(digest.begin(), digest.end());
+    return Status::Ok();
   };
+}
 
+// Every party's tree digest from the in-memory runner.
+Status InMemoryPrints(const Dataset& data, const FederationConfig& cfg,
+                      std::vector<Bytes>* prints,
+                      NetworkStats* stats = nullptr) {
+  prints->assign(cfg.num_parties, {});
+  std::mutex mu;
+  return RunFederation(data, cfg, TrainAndFingerprint(prints, &mu), stats);
+}
+
+// Every party's tree digest from RunPartyFederation, one thread per party
+// over Unix-domain sockets named after `tag`. The parties share `fed`'s
+// runner settings (fault plan and restart budget included).
+Status PartyPrints(const Dataset& data, const FederationConfig& fed,
+                   const std::string& tag, std::vector<Bytes>* prints) {
+  const int m = fed.num_parties;
+  const VerticalPartition partition = PartitionVertically(data, m);
+  std::vector<std::string> addresses;
+  for (int i = 0; i < m; ++i) {
+    addresses.push_back("unix:/tmp/pivot_" + tag + "_" +
+                        std::to_string(::getpid()) + "_" + std::to_string(i));
+  }
+  prints->assign(m, {});
+  std::mutex mu;
+  const auto body = TrainAndFingerprint(prints, &mu);
+  std::vector<Status> statuses(m);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < m; ++i) {
+    threads.emplace_back([&, i] {
+      PartyConfig cfg;
+      static_cast<RunnerConfig&>(cfg) = fed;
+      cfg.party_id = i;
+      cfg.addresses = addresses;
+      statuses[i] = RunPartyFederation(partition, cfg, body);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return RootCauseStatus(statuses);
+}
+
+TEST(SocketBackendTest, SocketFederationBitMatchesInMemory) {
+  const Dataset data = TierThreeData();
+  const FederationConfig cfg = TierThreeConfig();
   std::vector<Bytes> in_memory, socket;
-  ASSERT_TRUE(fingerprint(NetBackend::kInMemory, &in_memory).ok());
-  const Status st = fingerprint(NetBackend::kSocket, &socket);
+  ASSERT_TRUE(InMemoryPrints(data, cfg, &in_memory).ok());
+  const Status st = PartyPrints(data, cfg, "bitmatch", &socket);
   ASSERT_TRUE(st.ok()) << st.ToString();
   for (int p = 0; p < cfg.num_parties; ++p) {
     EXPECT_EQ(socket[p], in_memory[p])
         << "party " << p << " diverged between transports";
+  }
+}
+
+TEST(PartyFederationTest, CrashResumeBitMatchesInMemory) {
+  // Party 1 crashes mid-training. Every party runner must prune the fired
+  // transient crash from its plan, re-mesh, resume from its own
+  // checkpoint store and land on the fault-free in-memory fingerprints.
+  const Dataset data = TierThreeData();
+  FederationConfig cfg = TierThreeConfig();
+  std::vector<Bytes> baseline;
+  NetworkStats traffic;
+  ASSERT_TRUE(InMemoryPrints(data, cfg, &baseline, &traffic).ok());
+
+  // A party's network ops are its sends and receives. Crash three
+  // quarters of the way through party 1's share of them: past the root
+  // node's snapshot, before the tree is done.
+  FaultAction crash;
+  crash.kind = FaultKind::kCrash;
+  crash.party = 1;
+  crash.nth = (traffic.messages_sent + traffic.messages_received) * 3 /
+              (4 * static_cast<uint64_t>(cfg.num_parties));
+  cfg.fault_plan.Add(crash);
+  cfg.max_restarts = 3;
+  cfg.net.recv_timeout_ms = 60'000;
+  const OpSnapshot before = OpSnapshot::Take();
+  std::vector<Bytes> prints;
+  const Status st = PartyPrints(data, cfg, "crash", &prints);
+  ASSERT_TRUE(st.ok()) << st.ToString()
+                       << "\nplan: " << cfg.fault_plan.ToString();
+  EXPECT_GT(OpSnapshot::Take().Delta(before).ckpt_restores, 0u)
+      << "the crash must hit after a snapshot, so the run resumes from it";
+  for (int p = 0; p < cfg.num_parties; ++p) {
+    EXPECT_EQ(prints[p], baseline[p])
+        << "party " << p << " diverged across crash + resume";
   }
 }
 

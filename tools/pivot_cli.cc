@@ -176,43 +176,61 @@ Result<std::vector<PivotTree>> LoadViews(const std::string& prefix, int m) {
   return views;
 }
 
+// Inputs shared by `train` and `party`: loads the --data CSV and applies
+// the tree hyper-parameters, protocol, key size, crypto fan-out and the
+// environment-overridable NetConfig.
+Result<Dataset> LoadTrainInputs(const Args& args, RunnerConfig* cfg,
+                                TrainTreeOptions* opts) {
+  PIVOT_ASSIGN_OR_RETURN(Dataset data, LoadCsv(args.Get("data", "")));
+  const bool enhanced = args.Get("protocol", "basic") == "enhanced";
+  opts->protocol = enhanced ? Protocol::kEnhanced : Protocol::kBasic;
+  const bool regression = args.Get("task", "classification") == "regression";
+  cfg->params.tree.task =
+      regression ? TreeTask::kRegression : TreeTask::kClassification;
+  cfg->params.tree.num_classes =
+      args.GetInt("classes", regression ? 2 : data.NumClasses());
+  cfg->params.tree.max_depth = args.GetInt("depth", 4);
+  cfg->params.tree.max_splits = args.GetInt("splits", 8);
+  cfg->params.key_bits = args.GetInt("key-bits", enhanced ? 512 : 256);
+  // Fan-out cap for the batched crypto kernels; results are bit-identical
+  // for every value (see DESIGN.md, "Parallelism model").
+  cfg->params.crypto_threads = args.GetInt("crypto-threads", 1);
+  // Reliable-channel tunables (timeouts, retry budget, backoff) are
+  // environment-overridable; see net/channel.h.
+  PIVOT_ASSIGN_OR_RETURN(cfg->net, NetConfig::FromEnv(cfg->net));
+  return data;
+}
+
+// Party body of `train` and `party`: trains one tree and writes this
+// party's view to PREFIX.party<id>.bin.
+Result<PivotTree> TrainAndSave(PartyContext& ctx, const TrainTreeOptions& opts,
+                               const std::string& out_prefix) {
+  PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+  const std::string path =
+      out_prefix + ".party" + std::to_string(ctx.id()) + ".bin";
+  PIVOT_RETURN_IF_ERROR(SaveModelBytes(SerializePivotTree(tree), path));
+  return tree;
+}
+
 int RunTrain(const Args& args) {
   const std::string data_path = args.Get("data", "");
   const std::string out_prefix = args.Get("out", "");
   if (data_path.empty() || out_prefix.empty()) return Usage();
 
-  Result<Dataset> data = LoadCsv(data_path);
+  FederationConfig cfg;
+  cfg.num_parties = args.GetInt("parties", 3);
+  TrainTreeOptions opts;
+  Result<Dataset> data = LoadTrainInputs(args, &cfg, &opts);
   if (!data.ok()) {
     std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
     return 1;
   }
-
-  FederationConfig cfg;
-  cfg.num_parties = args.GetInt("parties", 3);
-  const bool regression = args.Get("task", "classification") == "regression";
-  cfg.params.tree.task =
-      regression ? TreeTask::kRegression : TreeTask::kClassification;
-  cfg.params.tree.num_classes =
-      args.GetInt("classes", regression ? 2 : data.value().NumClasses());
-  cfg.params.tree.max_depth = args.GetInt("depth", 4);
-  cfg.params.tree.max_splits = args.GetInt("splits", 8);
-  const bool enhanced = args.Get("protocol", "basic") == "enhanced";
-  cfg.params.key_bits = args.GetInt("key-bits", enhanced ? 512 : 256);
-  // Fan-out cap for the batched crypto kernels; results are bit-identical
-  // for every value (see DESIGN.md, "Parallelism model").
-  cfg.params.crypto_threads = args.GetInt("crypto-threads", 1);
-  // Reliable-channel tunables (timeouts, retry budget, backoff) are
-  // environment-overridable; see net/network.h.
-  Result<NetConfig> net_cfg = NetConfig::FromEnv(cfg.net);
-  if (!net_cfg.ok()) {
-    std::fprintf(stderr, "error: %s\n", net_cfg.status().ToString().c_str());
-    return 1;
-  }
-  cfg.net = net_cfg.value();
+  const char* protocol =
+      opts.protocol == Protocol::kEnhanced ? "enhanced" : "basic";
 
   std::printf("training a %s-protocol Pivot tree: %zu samples, %zu features, "
               "%d parties...\n",
-              enhanced ? "enhanced" : "basic", data.value().num_samples(),
+              protocol, data.value().num_samples(),
               data.value().num_features(), cfg.num_parties);
 
   std::mutex mu;
@@ -220,12 +238,8 @@ int RunTrain(const Args& args) {
   NetworkStats net_stats;
   const OpSnapshot ops_before = OpSnapshot::Take();
   Status st = RunFederation(data.value(), cfg, [&](PartyContext& ctx) -> Status {
-    TrainTreeOptions opts;
-    opts.protocol = enhanced ? Protocol::kEnhanced : Protocol::kBasic;
-    PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
-    const std::string path =
-        out_prefix + ".party" + std::to_string(ctx.id()) + ".bin";
-    PIVOT_RETURN_IF_ERROR(SaveModelBytes(SerializePivotTree(tree), path));
+    PIVOT_ASSIGN_OR_RETURN(PivotTree tree,
+                           TrainAndSave(ctx, opts, out_prefix));
     if (ctx.id() == 0) {
       std::lock_guard<std::mutex> lock(mu);
       internal_nodes = tree.NumInternalNodes();
@@ -300,30 +314,16 @@ int RunParty(const Args& args) {
   }
   cfg.super_client = args.GetInt("super", 0);
   cfg.checkpoint_dir = args.Get("checkpoint-dir", "");
-  cfg.max_restarts = args.GetInt("max-restarts", 5);
+  cfg.max_restarts = args.GetInt("max-restarts", cfg.max_restarts);
 
-  Result<Dataset> data = LoadCsv(data_path);
+  TrainTreeOptions opts;
+  Result<Dataset> data = LoadTrainInputs(args, &cfg, &opts);
   if (!data.ok()) {
     std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
     return 1;
   }
-
-  const bool regression = args.Get("task", "classification") == "regression";
-  cfg.params.tree.task =
-      regression ? TreeTask::kRegression : TreeTask::kClassification;
-  cfg.params.tree.num_classes =
-      args.GetInt("classes", regression ? 2 : data.value().NumClasses());
-  cfg.params.tree.max_depth = args.GetInt("depth", 4);
-  cfg.params.tree.max_splits = args.GetInt("splits", 8);
-  const bool enhanced = args.Get("protocol", "basic") == "enhanced";
-  cfg.params.key_bits = args.GetInt("key-bits", enhanced ? 512 : 256);
-  cfg.params.crypto_threads = args.GetInt("crypto-threads", 1);
-  Result<NetConfig> net_cfg = NetConfig::FromEnv(cfg.net);
-  if (!net_cfg.ok()) {
-    std::fprintf(stderr, "error: %s\n", net_cfg.status().ToString().c_str());
-    return 1;
-  }
-  cfg.net = net_cfg.value();
+  const char* protocol =
+      opts.protocol == Protocol::kEnhanced ? "enhanced" : "basic";
 
   if (control_fd >= 0) {
     (void)orch::WriteAll(control_fd, "HELLO pid=" +
@@ -389,18 +389,13 @@ int RunParty(const Args& args) {
                "party %d/%d (%s, super=%d): training a %s-protocol Pivot "
                "tree over sockets...\n",
                cfg.party_id, m, cfg.addresses[cfg.party_id].c_str(),
-               cfg.super_client, enhanced ? "enhanced" : "basic");
+               cfg.super_client, protocol);
 
   NetworkStats net_stats;
   Status st = RunPartyFederation(
       partition, cfg,
       [&](PartyContext& ctx) -> Status {
-        TrainTreeOptions opts;
-        opts.protocol = enhanced ? Protocol::kEnhanced : Protocol::kBasic;
-        PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
-        const std::string path =
-            out_prefix + ".party" + std::to_string(ctx.id()) + ".bin";
-        return SaveModelBytes(SerializePivotTree(tree), path);
+        return TrainAndSave(ctx, opts, out_prefix).status();
       },
       &net_stats);
   const int exit_code =
