@@ -32,19 +32,19 @@ namespace pivot {
 // they neither resume from nor overwrite the newest snapshots) until
 // the crashed tree's Train call reaches the store's epoch and resumes.
 //
-// Snapshot wire format (ByteWriter, little-endian), version 2:
+// Snapshot wire format (ByteWriter, little-endian), version 3:
 //   u32  magic 'PVCK' (0x5056434B)    u32  version
 //   u64  epoch    u64  completed-node count (the checkpoint index)
-//   tree: u8 protocol, u8 task, u32 num_classes, u64 node count, then
-//     per node every PivotNode field including leaf_mask and the lambda
-//     selector (ciphertext vectors via EncodeCiphertextVector)
-//   stack (bottom to top): u64 count, then per pending node its parent
-//     id, left/right flag, and the NodeState (alpha/gamma1/gamma2
-//     ciphertext vectors, per-client availability bitsets, depth)
+//   tree: the tree so far as a length-prefixed PVT2 blob (the model-file
+//     codec of pivot/serialize.h); pending child slots are -1
+//   stack (bottom to top): u64 count, then per pending node its
+//     NodeState (alpha/gamma1/gamma2 ciphertext vectors, per-client
+//     availability bitsets, depth), one per open child slot of the tree
+//     in ascending parent id, a right slot below its left one
 //   randomness: RngState of the context rng, the MPC engine rng + round
-//     counter, and the preprocessing rng + triples/masks counters
-//   v2 appends: u64 offline encryption-randomness pool cursor (the next
-//     (r, r^n) pair index; see crypto/paillier_batch.h)
+//     counter, the preprocessing rng + triples/masks counters, and the
+//     u64 offline encryption-randomness pool cursor (the next (r, r^n)
+//     pair index; see crypto/paillier_batch.h)
 //
 // Snapshots live in a per-party CheckpointStore owned by the runner: the
 // in-process runner keeps one per party thread exactly when

@@ -97,6 +97,8 @@ Result<PivotTree> GbdtRound(PartyContext& ctx, const EnsembleOptions& options,
     for (size_t t = 0; t < scores_to_update->size(); ++t) {
       (*scores_to_update)[t] = FpAdd((*scores_to_update)[t], step[t]);
     }
+    // Masks are n ciphertexts per leaf that no saved model should carry.
+    for (PivotNode& nd : tree.nodes) nd.leaf_mask = std::vector<Ciphertext>();
   }
   return tree;
 }

@@ -37,7 +37,7 @@ struct PivotNode {
 
   // Optional (TrainTreeOptions::keep_leaf_masks): the leaf's encrypted
   // sample-mask vector [alpha], used by GBDT to evaluate the tree on the
-  // whole training set homomorphically.
+  // whole training set homomorphically; cleared once GBDT has used it.
   std::vector<Ciphertext> leaf_mask;
 
   // Enhanced protocol with HidingLevel::kFeature / kClientAndFeature:
@@ -47,7 +47,7 @@ struct PivotNode {
   // lambda_slices[i] spans client i's candidate splits in the node's
   // selection span; lambda_features[i][k] is the *local feature index* at
   // client i behind slice entry k (public enumeration metadata). Empty
-  // when the split feature is public. Not serialized.
+  // when the split feature is public. Saved with the model.
   std::vector<std::vector<Ciphertext>> lambda_slices;
   std::vector<std::vector<int>> lambda_features;
 

@@ -180,8 +180,7 @@ Result<std::vector<u128>> RunEnhancedPredictionBatch(
     const auto it = cache.lambda.find(static_cast<int>(id));
     if (it == cache.lambda.end()) {
       return Status::FailedPrecondition(
-          "hidden-feature node without a retained lambda selector "
-          "(selectors are not serialized)");
+          "hidden-feature node without a retained lambda selector");
     }
     std::vector<Ciphertext> x_node(batch, ctx.pk().One());
     bool any = false;

@@ -17,14 +17,19 @@ namespace pivot {
 //  - A PivotTree serializes this party's *view*: for the enhanced
 //    protocol that includes its secret shares, which are as sensitive as
 //    a key share — the caller owns protecting the bytes at rest.
-//  - Encrypted leaf masks (a training-time artifact for GBDT) are not
-//    persisted.
+//  - The PivotTree codec ('PVT2') is the only PivotNode encoding: it
+//    writes every field (leaf masks and lambda selectors included), and
+//    training checkpoints embed trees through it. Decoding rejects all
+//    but one tree rooted at node 0 with children after their parent.
 
 Bytes SerializeTreeModel(const TreeModel& model);
 Result<TreeModel> DeserializeTreeModel(const Bytes& data);
 
 Bytes SerializePivotTree(const PivotTree& tree);
 Result<PivotTree> DeserializePivotTree(const Bytes& data);
+// A training checkpoint's tree: as above, but internal nodes may still
+// lack children (-1) that are pending on the trainer's work stack.
+Result<PivotTree> DeserializePivotTreeInProgress(const Bytes& data);
 
 Bytes SerializePivotEnsemble(const PivotEnsemble& model);
 Result<PivotEnsemble> DeserializePivotEnsemble(const Bytes& data);

@@ -14,6 +14,7 @@
 #include "mpc/dp.h"
 #include "net/codec.h"
 #include "pivot/checkpoint.h"
+#include "pivot/serialize.h"
 
 namespace pivot {
 
@@ -35,10 +36,9 @@ struct Block {
 };
 
 // Training-checkpoint snapshot framing ('PVCK'); format in checkpoint.h.
-// Version 2 appends the offline encryption-randomness pool cursor to the
-// randomness state.
+// Version 3 embeds the tree as a PVT2 blob (pivot/serialize.h).
 constexpr uint32_t kCheckpointMagic = 0x5056434B;
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 
 class TreeTrainer {
  public:
@@ -836,64 +836,6 @@ class TreeTrainer {
   // (on all parties, at the same index) makes the continued run
   // bit-identical to an uninterrupted one.
 
-  static void WriteNodeCkpt(const PivotNode& nd, ByteWriter& w) {
-    w.WriteU8(nd.is_leaf ? 1 : 0);
-    w.WriteI64(nd.owner);
-    w.WriteI64(nd.feature_local);
-    w.WriteDouble(nd.threshold);
-    w.WriteDouble(nd.leaf_value);
-    EncodeU128(nd.threshold_share, w);
-    EncodeU128(nd.leaf_share, w);
-    w.WriteI64(nd.left);
-    w.WriteI64(nd.right);
-    w.WriteBytes(EncodeCiphertextVector(nd.leaf_mask));
-    w.WriteU64(nd.lambda_slices.size());
-    for (const auto& slice : nd.lambda_slices) {
-      w.WriteBytes(EncodeCiphertextVector(slice));
-    }
-    w.WriteU64(nd.lambda_features.size());
-    for (const auto& feats : nd.lambda_features) {
-      w.WriteU64(feats.size());
-      for (int f : feats) w.WriteI64(f);
-    }
-  }
-
-  static Status ReadNodeCkpt(ByteReader& r, PivotNode* nd) {
-    PIVOT_ASSIGN_OR_RETURN(uint8_t is_leaf, r.ReadU8());
-    nd->is_leaf = is_leaf != 0;
-    PIVOT_ASSIGN_OR_RETURN(int64_t owner, r.ReadI64());
-    nd->owner = static_cast<int>(owner);
-    PIVOT_ASSIGN_OR_RETURN(int64_t feature_local, r.ReadI64());
-    nd->feature_local = static_cast<int>(feature_local);
-    PIVOT_ASSIGN_OR_RETURN(nd->threshold, r.ReadDouble());
-    PIVOT_ASSIGN_OR_RETURN(nd->leaf_value, r.ReadDouble());
-    PIVOT_ASSIGN_OR_RETURN(nd->threshold_share, DecodeU128(r));
-    PIVOT_ASSIGN_OR_RETURN(nd->leaf_share, DecodeU128(r));
-    PIVOT_ASSIGN_OR_RETURN(int64_t left, r.ReadI64());
-    nd->left = static_cast<int>(left);
-    PIVOT_ASSIGN_OR_RETURN(int64_t right, r.ReadI64());
-    nd->right = static_cast<int>(right);
-    PIVOT_ASSIGN_OR_RETURN(Bytes mask, r.ReadBytes());
-    PIVOT_ASSIGN_OR_RETURN(nd->leaf_mask, DecodeCiphertextVector(mask));
-    PIVOT_ASSIGN_OR_RETURN(uint64_t slices, r.ReadU64());
-    nd->lambda_slices.resize(slices);
-    for (uint64_t i = 0; i < slices; ++i) {
-      PIVOT_ASSIGN_OR_RETURN(Bytes enc, r.ReadBytes());
-      PIVOT_ASSIGN_OR_RETURN(nd->lambda_slices[i], DecodeCiphertextVector(enc));
-    }
-    PIVOT_ASSIGN_OR_RETURN(uint64_t feat_vecs, r.ReadU64());
-    nd->lambda_features.resize(feat_vecs);
-    for (uint64_t i = 0; i < feat_vecs; ++i) {
-      PIVOT_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-      nd->lambda_features[i].resize(count);
-      for (uint64_t j = 0; j < count; ++j) {
-        PIVOT_ASSIGN_OR_RETURN(int64_t f, r.ReadI64());
-        nd->lambda_features[i][j] = static_cast<int>(f);
-      }
-    }
-    return Status::Ok();
-  }
-
   static void WriteNodeState(const NodeState& st, ByteWriter& w) {
     w.WriteBytes(EncodeCiphertextVector(st.alpha));
     w.WriteBytes(EncodeCiphertextVector(st.gamma1));
@@ -941,17 +883,9 @@ class TreeTrainer {
     w.WriteU32(kCheckpointVersion);
     w.WriteU64(epoch_);
     w.WriteU64(completed);
-    w.WriteU8(static_cast<uint8_t>(tree_.protocol));
-    w.WriteU8(static_cast<uint8_t>(tree_.task));
-    w.WriteU32(static_cast<uint32_t>(tree_.num_classes));
-    w.WriteU64(tree_.nodes.size());
-    for (const PivotNode& nd : tree_.nodes) WriteNodeCkpt(nd, w);
+    w.WriteBytes(SerializePivotTree(tree_));
     w.WriteU64(stack.size());
-    for (const PendingNode& p : stack) {
-      w.WriteI64(p.parent);
-      w.WriteU8(p.is_left ? 1 : 0);
-      WriteNodeState(p.state, w);
-    }
+    for (const PendingNode& p : stack) WriteNodeState(p.state, w);
     const PartyContext::RandomnessState rs = ctx_.SaveRandomnessState();
     EncodeRngState(rs.rng, w);
     EncodeRngState(rs.engine.rng, w);
@@ -981,31 +915,23 @@ class TreeTrainer {
       return Status::ProtocolError("checkpoint epoch mismatch");
     }
     PIVOT_ASSIGN_OR_RETURN(*completed, r.ReadU64());
-    PIVOT_ASSIGN_OR_RETURN(uint8_t protocol, r.ReadU8());
-    tree_.protocol = static_cast<Protocol>(protocol);
-    PIVOT_ASSIGN_OR_RETURN(uint8_t task, r.ReadU8());
-    tree_.task = static_cast<TreeTask>(task);
-    PIVOT_ASSIGN_OR_RETURN(uint32_t classes, r.ReadU32());
-    tree_.num_classes = static_cast<int>(classes);
-    PIVOT_ASSIGN_OR_RETURN(uint64_t nodes, r.ReadU64());
-    tree_.nodes.assign(nodes, PivotNode{});
-    for (uint64_t i = 0; i < nodes; ++i) {
-      PIVOT_RETURN_IF_ERROR(ReadNodeCkpt(r, &tree_.nodes[i]));
+    PIVOT_ASSIGN_OR_RETURN(Bytes tree_blob, r.ReadBytes());
+    PIVOT_ASSIGN_OR_RETURN(tree_, DeserializePivotTreeInProgress(tree_blob));
+    // One pending node per open child slot, in the order Train's DFS
+    // leaves them: ascending parent id, a right slot below its left one.
+    for (int id = 0; id < static_cast<int>(tree_.nodes.size()); ++id) {
+      const PivotNode& nd = tree_.nodes[id];
+      if (nd.is_leaf) continue;
+      if (nd.right < 0) stack->push_back(PendingNode{{}, id, false});
+      if (nd.left < 0) stack->push_back(PendingNode{{}, id, true});
     }
     PIVOT_ASSIGN_OR_RETURN(uint64_t pending, r.ReadU64());
-    stack->clear();
-    stack->reserve(pending);
-    for (uint64_t i = 0; i < pending; ++i) {
-      PendingNode p;
-      PIVOT_ASSIGN_OR_RETURN(int64_t parent, r.ReadI64());
-      p.parent = static_cast<int>(parent);
-      if (p.parent >= static_cast<int>(tree_.nodes.size())) {
-        return Status::ProtocolError("checkpoint stack parent out of range");
-      }
-      PIVOT_ASSIGN_OR_RETURN(uint8_t is_left, r.ReadU8());
-      p.is_left = is_left != 0;
+    if (pending != stack->size()) {
+      return Status::ProtocolError(
+          "checkpoint stack does not match the tree's open child slots");
+    }
+    for (PendingNode& p : *stack) {
       PIVOT_ASSIGN_OR_RETURN(p.state, ReadNodeState(r));
-      stack->push_back(std::move(p));
     }
     PartyContext::RandomnessState rs;
     PIVOT_ASSIGN_OR_RETURN(rs.rng, DecodeRngState(r));

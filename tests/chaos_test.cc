@@ -27,15 +27,16 @@
 #include <functional>
 #include <mutex>
 
+#include "common/op_counters.h"
 #include "common/sha256.h"
 #include "data/synthetic.h"
 #include "mpc/engine.h"
-#include "net/codec.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "pivot/malicious.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
+#include "pivot/serialize.h"
 #include "pivot/trainer.h"
 #include "serve/serving_session.h"
 
@@ -303,55 +304,23 @@ TEST(ChaosTest, MaliciousConversionSweep) {
 // the recovered run must be *bit-identical* to the fault-free run.
 // ---------------------------------------------------------------------------
 
-// Full per-party tree serialization for fingerprinting, covering the
-// fields the public model codec (pivot/serialize.cc) intentionally omits:
-// ciphertext vectors and this party's secret shares. Two runs that agree
-// on these digests agree on every bit of trained state.
-Bytes SerializeFullTree(const PivotTree& t) {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(t.protocol));
-  w.WriteU8(static_cast<uint8_t>(t.task));
-  w.WriteU32(static_cast<uint32_t>(t.num_classes));
-  w.WriteU64(t.nodes.size());
-  for (const PivotNode& nd : t.nodes) {
-    w.WriteU8(nd.is_leaf ? 1 : 0);
-    w.WriteI64(nd.owner);
-    w.WriteI64(nd.feature_local);
-    w.WriteDouble(nd.threshold);
-    w.WriteDouble(nd.leaf_value);
-    EncodeU128(nd.threshold_share, w);
-    EncodeU128(nd.leaf_share, w);
-    w.WriteI64(nd.left);
-    w.WriteI64(nd.right);
-    w.WriteBytes(EncodeCiphertextVector(nd.leaf_mask));
-    w.WriteU64(nd.lambda_slices.size());
-    for (const auto& slice : nd.lambda_slices) {
-      w.WriteBytes(EncodeCiphertextVector(slice));
-    }
-    w.WriteU64(nd.lambda_features.size());
-    for (const auto& feats : nd.lambda_features) {
-      w.WriteU64(feats.size());
-      for (int f : feats) w.WriteI64(f);
-    }
-  }
-  return w.Take();
-}
-
 // Trains one basic-protocol tree per party and captures each party's tree
-// digest into `prints[party]`.
+// digest into `prints[party]`. The model codec writes every field, so runs
+// that agree on these digests agree on every bit of trained state.
 Status TrainAndFingerprint(const Dataset& data, const FederationConfig& cfg,
-                           std::vector<Bytes>* prints) {
+                           std::vector<Bytes>* prints,
+                           NetworkStats* stats = nullptr) {
   prints->assign(kParties, {});
   std::mutex mu;
   return RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
     TrainTreeOptions opts;
     opts.protocol = Protocol::kBasic;
     PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
-    const auto digest = Sha256::Hash(SerializeFullTree(tree));
+    const auto digest = Sha256::Hash(SerializePivotTree(tree));
     std::lock_guard<std::mutex> lock(mu);
     (*prints)[ctx.id()] = Bytes(digest.begin(), digest.end());
     return Status::Ok();
-  });
+  }, stats);
 }
 
 FederationConfig RecoveryConfig() {
@@ -440,18 +409,36 @@ TEST(ChaosRecoveryTest, ServingTransientSweepCompletesAndMatches) {
   }
 }
 
+// A crash-recovery schedule whose crash lands in the second half of a
+// party's network ops in the fault-free run, past the root's snapshot, so
+// the restarted parties resume from a checkpoint, not from scratch.
+FaultPlan CrashAfterRootPlan(uint64_t seed, const NetworkStats& fault_free) {
+  const uint64_t half =
+      (fault_free.messages_sent + fault_free.messages_received) /
+      (2 * kParties);
+  const FaultPlan drawn =
+      FaultPlan::FromSeed(seed, kParties, kFatalMs, /*max_op=*/half,
+                          /*max_msg=*/12, FaultMix::kCrashRecovery);
+  FaultPlan plan;
+  for (FaultAction a : drawn.actions()) {
+    if (a.kind == FaultKind::kCrash) a.nth += half;
+    plan.Add(a);
+  }
+  return plan;
+}
+
 TEST(ChaosRecoveryTest, CrashRecoveryResumesAndBitMatches) {
   const int seeds = EnvInt("PIVOT_CHAOS_RECOVERY_SEEDS", 6);
   const Dataset data = TinyClassification();
   std::vector<Bytes> baseline;
+  NetworkStats fault_free;
   ASSERT_TRUE(
-      TrainAndFingerprint(data, RecoveryConfig(), &baseline).ok());
+      TrainAndFingerprint(data, RecoveryConfig(), &baseline, &fault_free).ok());
+  const uint64_t restores = OpCounters::Global().checkpoint_restores();
   for (int s = 0; s < seeds; ++s) {
     const uint64_t seed = 0x1F000000ULL + static_cast<uint64_t>(s);
     FederationConfig cfg = RecoveryConfig();
-    cfg.fault_plan =
-        FaultPlan::FromSeed(seed, kParties, kFatalMs, /*max_op=*/40,
-                            /*max_msg=*/12, FaultMix::kCrashRecovery);
+    cfg.fault_plan = CrashAfterRootPlan(seed, fault_free);
     cfg.max_restarts = 2;
     std::vector<Bytes> prints;
     const auto start = std::chrono::steady_clock::now();
@@ -466,6 +453,8 @@ TEST(ChaosRecoveryTest, CrashRecoveryResumesAndBitMatches) {
           << "\nplan: " << cfg.fault_plan.ToString();
     }
   }
+  EXPECT_GT(OpCounters::Global().checkpoint_restores(), restores)
+      << "no crash in the sweep resumed from a checkpoint";
 }
 
 // The parallel crypto kernels promise thread-count invariance (DESIGN.md,
@@ -492,28 +481,30 @@ TEST(ChaosRecoveryTest, CryptoThreadCountDoesNotChangeFingerprints) {
 }
 
 // Thread-count invariance must also hold across a crash/resume boundary:
-// the checkpoint carries the randomness-pool cursor (snapshot v2), so a
-// parallel run that restarts mid-tree still lands on the sequential
-// fault-free fingerprints.
+// the checkpoint carries the randomness-pool cursor, so a parallel run
+// that restarts mid-tree still lands on the sequential fault-free
+// fingerprints.
 TEST(ChaosRecoveryTest, CrashRecoveryBitMatchesWithParallelCrypto) {
   const Dataset data = TinyClassification();
   std::vector<Bytes> baseline;
+  NetworkStats fault_free;
   ASSERT_TRUE(
-      TrainAndFingerprint(data, RecoveryConfig(), &baseline).ok());
+      TrainAndFingerprint(data, RecoveryConfig(), &baseline, &fault_free).ok());
   FederationConfig cfg = RecoveryConfig();
   cfg.params.crypto_threads = 4;
   // See CryptoThreadCountDoesNotChangeFingerprints: absorb sanitizer
   // slowdown under 4-way fan-out. Transient delays are 1-20 ms, so the
   // longer timeout still masks them and still detects the crash.
   cfg.net.recv_timeout_ms = 8 * kRecvTimeoutMs;
-  cfg.fault_plan =
-      FaultPlan::FromSeed(0x2F000000ULL, kParties, kFatalMs, /*max_op=*/40,
-                          /*max_msg=*/12, FaultMix::kCrashRecovery);
+  cfg.fault_plan = CrashAfterRootPlan(0x2F000000ULL, fault_free);
   cfg.max_restarts = 2;
   std::vector<Bytes> prints;
+  const uint64_t restores = OpCounters::Global().checkpoint_restores();
   const Status st = TrainAndFingerprint(data, cfg, &prints);
   ASSERT_TRUE(st.ok()) << st.ToString()
                        << "\nplan: " << cfg.fault_plan.ToString();
+  EXPECT_GT(OpCounters::Global().checkpoint_restores(), restores)
+      << "the crash did not resume from a checkpoint";
   for (int p = 0; p < kParties; ++p) {
     EXPECT_EQ(prints[p], baseline[p])
         << "party " << p << " diverged under parallel crypto + restart";

@@ -3,6 +3,7 @@
 #include "data/synthetic.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
+#include "pivot/serialize.h"
 #include "pivot/trainer.h"
 
 namespace pivot {
@@ -80,6 +81,7 @@ TEST(HidingLevelTest, AllLevelsPredictLikeTheBasicModel) {
     auto part = PartitionVertically(data, 3);
     for (const auto& v : part.views) fmap.push_back(v.feature_indices);
     auto rows = SliceRowsForParty(data, ctx.id(), 3);
+    rows.resize(4);
 
     for (HidingLevel level : {HidingLevel::kThreshold, HidingLevel::kFeature,
                               HidingLevel::kClientAndFeature}) {
@@ -87,13 +89,24 @@ TEST(HidingLevelTest, AllLevelsPredictLikeTheBasicModel) {
       opts.protocol = Protocol::kEnhanced;
       opts.hiding = level;
       PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+      // Every view survives a save/load: the model file carries the
+      // shares and lambda selectors, so the reloaded views predict alike.
+      PIVOT_ASSIGN_OR_RETURN(PivotTree loaded,
+                             DeserializePivotTree(SerializePivotTree(tree)));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<double> preds,
+                             PredictPivotBatch(ctx, tree, rows));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<double> reloaded,
+                             PredictPivotBatch(ctx, loaded, rows));
+      if (reloaded != preds) {
+        return Status::Internal("reloaded model predicts differently");
+      }
       // Note: stronger hiding levels cannot shrink the available feature
       // set along a path (the winner is secret), so tree shapes can
       // legitimately differ from the basic model below the first reuse.
       // Compare predictions on probe rows only at the kThreshold level,
       // and check self-consistency (valid class outputs) for the rest.
       for (int i = 0; i < 4; ++i) {
-        PIVOT_ASSIGN_OR_RETURN(double pred, PredictPivot(ctx, tree, rows[i]));
+        const double pred = preds[i];
         if (level == HidingLevel::kThreshold) {
           const double expected =
               basic.EvaluatePlain(data.features[i], fmap);

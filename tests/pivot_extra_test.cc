@@ -91,6 +91,13 @@ TEST(PivotExtraTest, GbdtClassificationEndToEnd) {
     if (model.forests[0].size() != 2 || model.forests[1].size() != 2) {
       return Status::Internal("rounds per class wrong");
     }
+    for (const auto& forest : model.forests) {
+      for (const PivotTree& tree : forest) {
+        for (const PivotNode& n : tree.nodes) {
+          if (!n.leaf_mask.empty()) return Status::Internal("leaf mask kept");
+        }
+      }
+    }
     auto rows = SliceRowsForParty(data, ctx.id(), 2);
     int correct = 0;
     const int probe = 8;

@@ -8,6 +8,7 @@
 #include "pivot/ensemble.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
+#include "pivot/serialize.h"
 #include "tree/cart.h"
 #include "tree/forest.h"
 #include "tree/gbdt.h"
@@ -80,16 +81,11 @@ TEST(PivotBasicTest, ClassificationMatchesNonPrivateCart) {
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
 
-  // The basic-protocol model is public: all parties hold the same tree.
+  // The basic-protocol model is public: all parties hold the same tree,
+  // down to the last encoded bit.
   const PivotTree& tree = trees.Get(0);
   for (int p = 1; p < 3; ++p) {
-    ASSERT_EQ(trees.Get(p).nodes.size(), tree.nodes.size());
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      EXPECT_EQ(trees.Get(p).nodes[i].owner, tree.nodes[i].owner);
-      EXPECT_DOUBLE_EQ(trees.Get(p).nodes[i].threshold, tree.nodes[i].threshold);
-      EXPECT_DOUBLE_EQ(trees.Get(p).nodes[i].leaf_value,
-                       tree.nodes[i].leaf_value);
-    }
+    EXPECT_EQ(SerializePivotTree(trees.Get(p)), SerializePivotTree(tree));
   }
 
   // Compare with the plaintext CART on the merged data: identical

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 
 #include "data/synthetic.h"
 #include "tree/cart.h"
@@ -73,12 +74,20 @@ TEST(SerializeTest, PivotTreeBasicRoundTrip) {
 
 TEST(SerializeTest, PivotTreeEnhancedKeepsShares) {
   PivotTree tree = MakePivotTreeFixture(Protocol::kEnhanced);
+  tree.nodes[0].feature_local = -1;
+  tree.nodes[0].lambda_slices = {{}, {Ciphertext{BigInt(5)}}};
+  tree.nodes[0].lambda_features = {{}, {3}};
+  tree.nodes[1].leaf_mask = {Ciphertext{BigInt(7)}, Ciphertext{BigInt(8)}};
   Result<PivotTree> back = DeserializePivotTree(SerializePivotTree(tree));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().protocol, Protocol::kEnhanced);
   EXPECT_TRUE(back.value().nodes[0].threshold_share == 12345u);
   EXPECT_TRUE(back.value().nodes[1].leaf_share == 777u);
   EXPECT_TRUE(back.value().nodes[2].leaf_share == 778u);
+  EXPECT_EQ(back.value().nodes[0].lambda_slices, tree.nodes[0].lambda_slices);
+  EXPECT_EQ(back.value().nodes[0].lambda_features,
+            tree.nodes[0].lambda_features);
+  EXPECT_EQ(back.value().nodes[1].leaf_mask, tree.nodes[1].leaf_mask);
 }
 
 TEST(SerializeTest, EnsembleRoundTrip) {
@@ -106,12 +115,31 @@ TEST(SerializeTest, RejectsWrongMagicAndTruncation) {
   Bytes tree_bytes = SerializePivotTree(MakePivotTreeFixture(Protocol::kBasic));
   tree_bytes.resize(tree_bytes.size() / 2);
   EXPECT_FALSE(DeserializePivotTree(tree_bytes).ok());
+  Bytes ensemble = SerializePivotEnsemble(PivotEnsemble{});
+  ensemble[24] = 0x10;  // 2^60 forests: an error, not an allocation
+  EXPECT_FALSE(DeserializePivotEnsemble(ensemble).ok());
 }
 
 TEST(SerializeTest, RejectsCorruptChildIndices) {
-  PivotTree tree = MakePivotTreeFixture(Protocol::kBasic);
-  tree.nodes[0].left = 99;  // out of range
-  EXPECT_FALSE(DeserializePivotTree(SerializePivotTree(tree)).ok());
+  const std::vector<std::function<void(PivotTree&)>> corruptions = {
+      [](PivotTree& t) { t.nodes[0].left = 99; },  // out of range
+      [](PivotTree& t) { t.nodes[0].left = 0; },   // self-loop
+      [](PivotTree& t) { t.nodes[0].right = 1; },  // shared child
+      // A model file has no open child slot.
+      [](PivotTree& t) { t.nodes[0].right = -1; t.nodes.pop_back(); },
+      [](PivotTree& t) {  // selector and feature list sizes differ
+        t.nodes[0].lambda_slices = {{Ciphertext{BigInt(5)}}};
+        t.nodes[0].lambda_features = {{}};
+      },
+      // Hidden feature without a selector.
+      [](PivotTree& t) { t.nodes[0].feature_local = -1; },
+  };
+  for (size_t i = 0; i < corruptions.size(); ++i) {
+    PivotTree tree = MakePivotTreeFixture(Protocol::kEnhanced);
+    corruptions[i](tree);
+    EXPECT_FALSE(DeserializePivotTree(SerializePivotTree(tree)).ok())
+        << "corruption " << i;
+  }
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include "data/synthetic.h"
 #include "pivot/runner.h"
+#include "pivot/serialize.h"
 #include "pivot/trainer.h"
 
 namespace pivot {
@@ -56,23 +57,23 @@ TEST_P(TrainerInvariantsTest, WellFormedTree) {
     opts.protocol = protocol;
     PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
 
-    if (tree.nodes.empty()) return Status::Internal("empty tree");
+    // The model decoder accepts exactly the well-formed trees: one tree
+    // rooted at node 0, children after their parent, one parent each.
+    PIVOT_RETURN_IF_ERROR(
+        DeserializePivotTree(SerializePivotTree(tree)).status());
     if (DepthOf(tree, 0) > depth) return Status::Internal("depth exceeded");
     if (tree.NumLeaves() != tree.NumInternalNodes() + 1) {
       return Status::Internal("leaf/internal count broken");
     }
-    std::vector<int> seen(tree.nodes.size(), 0);
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      const PivotNode& n = tree.nodes[i];
-      if (n.is_leaf) continue;
-      if (n.left < 0 || n.right < 0 ||
-          n.left >= static_cast<int>(tree.nodes.size()) ||
-          n.right >= static_cast<int>(tree.nodes.size()) ||
-          n.left == n.right) {
-        return Status::Internal("bad child links");
+    for (const PivotNode& n : tree.nodes) {
+      if (n.is_leaf) {
+        if (protocol == Protocol::kBasic &&
+            task == TreeTask::kClassification &&
+            (n.leaf_value < 0 || n.leaf_value > 1)) {
+          return Status::Internal("leaf class out of range");
+        }
+        continue;
       }
-      ++seen[n.left];
-      ++seen[n.right];
       if (n.owner < -1 || n.owner >= m) return Status::Internal("bad owner");
       if (protocol == Protocol::kBasic) {
         if (n.owner < 0 || n.feature_local < 0) {
@@ -82,23 +83,6 @@ TEST_P(TrainerInvariantsTest, WellFormedTree) {
             PartitionVertically(data, m).views[n.owner].num_features());
         if (n.feature_local >= d_local) {
           return Status::Internal("feature index out of range");
-        }
-      }
-      if (task == TreeTask::kClassification &&
-          protocol == Protocol::kBasic) {
-        // leaf classes valid
-      }
-    }
-    // Every non-root node has exactly one parent; the root has none.
-    if (seen[0] != 0) return Status::Internal("root has a parent");
-    for (size_t i = 1; i < tree.nodes.size(); ++i) {
-      if (seen[i] != 1) return Status::Internal("node parent count != 1");
-    }
-    if (protocol == Protocol::kBasic &&
-        task == TreeTask::kClassification) {
-      for (const PivotNode& n : tree.nodes) {
-        if (n.is_leaf && (n.leaf_value < 0 || n.leaf_value > 1)) {
-          return Status::Internal("leaf class out of range");
         }
       }
     }

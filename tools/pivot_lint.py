@@ -79,6 +79,16 @@ Rules (see DESIGN.md, "Correctness tooling"):
                     model"). Tests are exempt (they probe the codec
                     directly).
 
+  tree-codec-home   Encoding or decoding of a PivotNode field that the
+                    model codec carries (threshold_share, leaf_share,
+                    leaf_mask, lambda_slices: a line naming one of them
+                    next to an Encode*/Decode* call or a ByteWriter/
+                    ByteReader Write*/Read*) anywhere but
+                    src/pivot/serialize.cc. Model files, training
+                    checkpoints and test fingerprints share that one
+                    node encoding; a second copy drifts on its own.
+                    Tests are not exempt.
+
 Usage:
   tools/pivot_lint.py [ROOT]            lint the whole tree (default: cwd)
   tools/pivot_lint.py ROOT --files F... lint specific files only
@@ -138,6 +148,11 @@ RE_RAW_PROCESS = re.compile(
 RE_SEQ_FRAME = re.compile(
     r"(?<![A-Za-z0-9_])(?:BuildSeqFrame|ParseSeqFrame)\b")
 SEQ_FRAME_HOMES = ("src/net/channel.cc", "src/net/wire.h", "src/net/wire.cc")
+RE_TREE_FIELD = re.compile(
+    r"\b(?:threshold_share|leaf_share|leaf_mask|lambda_slices)\b")
+RE_CODEC_CALL = re.compile(
+    r"(?<![A-Za-z0-9_])(?:Encode|Decode)\w*\s*\(|\.(?:Write|Read)\w+\s*\(")
+TREE_CODEC_HOME = "src/pivot/serialize.cc"
 
 
 class Finding:
@@ -337,6 +352,19 @@ def check_seq_frame_home(rel, lines, findings):
                 "core (ReliableEndpoint) shared by both transports"))
 
 
+def check_tree_codec_home(rel, lines, findings):
+    if rel == TREE_CODEC_HOME:
+        return
+    for i, line in enumerate(lines, 1):
+        code = strip_comment(line)
+        if RE_TREE_FIELD.search(code) and RE_CODEC_CALL.search(code):
+            findings.append(Finding(
+                rel, i, "tree-codec-home",
+                "PivotNode field encoded outside src/pivot/serialize.cc; "
+                "model files, checkpoints and fingerprints share the one "
+                "PVT2 node codec (SerializePivotTree)"))
+
+
 CHECKS = (
     check_banned_random,
     check_secret_print,
@@ -348,6 +376,7 @@ CHECKS = (
     check_raw_socket,
     check_raw_process,
     check_seq_frame_home,
+    check_tree_codec_home,
 )
 
 

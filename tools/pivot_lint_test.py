@@ -534,5 +534,37 @@ class SeqFrameHomeTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class TreeCodecHomeTest(unittest.TestCase):
+    def test_flags_node_encoding_outside_serialize(self):
+        findings = run_lint(
+            {"src/pivot/trainer.cc":
+             "    EncodeU128(nd.threshold_share, w);\n"
+             "    w.WriteU64(nd.lambda_slices.size());\n",
+             "src/pivot/ensemble.cc":
+             "PIVOT_ASSIGN_OR_RETURN(nd.leaf_mask, DecodeCiphertextVector(b));\n"})
+        self.assertEqual(rules(findings), ["tree-codec-home"])
+        self.assertEqual(len(findings), 3)
+
+    def test_tests_not_exempt(self):
+        findings = run_lint(
+            {"tests/chaos_test.cc":
+             "w.WriteBytes(EncodeCiphertextVector(nd.leaf_mask));\n"})
+        self.assertEqual(rules(findings), ["tree-codec-home"])
+
+    def test_allows_the_codec(self):
+        findings = run_lint(
+            {"src/pivot/serialize.cc":
+             "  EncodeU128(n.leaf_share, w);\n"
+             "  w.WriteBytes(EncodeCiphertextVector(n.leaf_mask));\n"})
+        self.assertEqual(findings, [])
+
+    def test_ignores_field_use_and_comments(self):
+        code = ("if (!n.leaf_mask.empty()) return Status::Ok();\n"
+                "zs.push_back(tree.nodes[id].leaf_share);\n"
+                "// WritePivotNode encodes lambda_slices\n")
+        findings = run_lint({"src/pivot/prediction.cc": code})
+        self.assertEqual(findings, [])
+
+
 if __name__ == "__main__":
     unittest.main()
