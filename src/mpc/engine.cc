@@ -1,7 +1,6 @@
 #include "mpc/engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/op_counters.h"
@@ -142,11 +141,6 @@ Result<std::vector<u128>> MpcEngine::MulVec(const std::vector<u128>& a,
     c[i] = share;
   }
   return c;
-}
-
-Result<u128> MpcEngine::MulFixed(u128 a, u128 b) {
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> out, MulFixedVec({a}, {b}));
-  return out[0];
 }
 
 Result<std::vector<u128>> MpcEngine::MulFixedVec(const std::vector<u128>& a,
@@ -307,15 +301,6 @@ Result<u128> MpcEngine::LessThanZero(u128 x, int k_bound) {
   return out[0];
 }
 
-Result<u128> MpcEngine::LessThan(u128 a, u128 b, int k_bound) {
-  return LessThanZero(Sub(a, b), k_bound);
-}
-
-Result<u128> MpcEngine::Select(u128 cond, u128 a, u128 b) {
-  PIVOT_ASSIGN_OR_RETURN(u128 t, Mul(cond, Sub(a, b)));
-  return Add(b, t);
-}
-
 Result<MpcEngine::ArgmaxShares> MpcEngine::Argmax(
     const std::vector<u128>& values, int k_bound) {
   PIVOT_CHECK_MSG(!values.empty(), "Argmax of empty vector");
@@ -329,63 +314,6 @@ Result<MpcEngine::ArgmaxShares> MpcEngine::Argmax(
     PIVOT_ASSIGN_OR_RETURN(
         std::vector<u128> upd,
         MulVec({gt, gt},
-               {Sub(values[i], best.max),
-                Sub(ConstantField(static_cast<u128>(i)), best.index)}));
-    best.max = Add(best.max, upd[0]);
-    best.index = Add(best.index, upd[1]);
-  }
-  return best;
-}
-
-Result<std::vector<u128>> MpcEngine::AbsVec(const std::vector<u128>& xs,
-                                             int k_bound) {
-  // |x| = x - 2·x·[x < 0].
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> neg, LessThanZeroVec(xs, k_bound));
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> prod, MulVec(neg, xs));
-  std::vector<u128> out(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    out[i] = FpSub(xs[i], FpAdd(prod[i], prod[i]));
-  }
-  return out;
-}
-
-Result<std::vector<u128>> MpcEngine::SignNonzeroVec(
-    const std::vector<u128>& xs, int k_bound) {
-  // sign(x) = 1 - 2·[x < 0] for x != 0.
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> neg, LessThanZeroVec(xs, k_bound));
-  std::vector<u128> out(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    out[i] = AddConstField(FpNeg(FpAdd(neg[i], neg[i])), 1);
-  }
-  return out;
-}
-
-Result<std::vector<u128>> MpcEngine::MinVec(const std::vector<u128>& a,
-                                            const std::vector<u128>& b,
-                                            int k_bound) {
-  // min(a,b) = b + (a-b)·[a < b].
-  std::vector<u128> diffs(a.size());
-  for (size_t i = 0; i < a.size(); ++i) diffs[i] = Sub(a[i], b[i]);
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> lt,
-                         LessThanZeroVec(diffs, k_bound));
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> prod, MulVec(lt, diffs));
-  std::vector<u128> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = FpAdd(b[i], prod[i]);
-  return out;
-}
-
-Result<MpcEngine::ArgmaxShares> MpcEngine::Argmin(
-    const std::vector<u128>& values, int k_bound) {
-  PIVOT_CHECK_MSG(!values.empty(), "Argmin of empty vector");
-  ArgmaxShares best;
-  best.max = values[0];
-  best.index = ConstantField(0);
-  for (size_t i = 1; i < values.size(); ++i) {
-    PIVOT_ASSIGN_OR_RETURN(u128 lt, LessThanZero(Sub(values[i], best.max),
-                                                 k_bound));
-    PIVOT_ASSIGN_OR_RETURN(
-        std::vector<u128> upd,
-        MulVec({lt, lt},
                {Sub(values[i], best.max),
                 Sub(ConstantField(static_cast<u128>(i)), best.index)}));
     best.max = Add(best.max, upd[0]);
@@ -481,15 +409,11 @@ Result<MpcEngine::Normalized> MpcEngine::Normalize(const std::vector<u128>& xs) 
   Normalized norm;
   norm.c2.assign(n, 0);
   norm.exponent.assign(n, 0);
-  norm.sqrt_scale.assign(n, 0);
   for (int j = kNormBits - 1; j >= 0; --j) {
     std::vector<u128> bj(n);
     for (size_t i = 0; i < n; ++i) bj[i] = bits[i][j];
     PIVOT_ASSIGN_OR_RETURN(std::vector<u128> t, MulVec(any_above, bj));
     const u128 exp_coeff = FpFromSigned(j + 1 - f);
-    // sqrt(2^(j+1-f)) at f fractional bits (public per-level constant).
-    const u128 sqrt_coeff = FpFromSigned(static_cast<i128>(
-        std::llround(std::ldexp(std::sqrt(std::ldexp(1.0, j + 1 - f)), f))));
     for (size_t i = 0; i < n; ++i) {
       const u128 y_new = FpSub(FpAdd(any_above[i], bj[i]), t[i]);
       const u128 m_j = FpSub(y_new, any_above[i]);  // [j is the MSB]
@@ -498,7 +422,6 @@ Result<MpcEngine::Normalized> MpcEngine::Normalize(const std::vector<u128>& xs) 
       norm.c2[i] = FpAdd(norm.c2[i],
                          FpMul(m_j, static_cast<u128>(1) << (kNormBits + 1 - j)));
       norm.exponent[i] = FpAdd(norm.exponent[i], FpMul(m_j, exp_coeff));
-      norm.sqrt_scale[i] = FpAdd(norm.sqrt_scale[i], FpMul(m_j, sqrt_coeff));
     }
   }
 
@@ -543,53 +466,6 @@ Result<std::vector<u128>> MpcEngine::ReciprocalVec(const std::vector<u128>& xs) 
   PIVOT_CHECK(shift > 0 && shift <= 63);
   // Bound: w < 2^(kRecipFrac+1), c2 <= 2^(kNormBits+1) -> product < 2^88.
   return TruncExactVec(scaled, shift, kNormBits + kRecipFrac + 4);
-}
-
-Result<std::vector<u128>> MpcEngine::SqrtFixedVec(const std::vector<u128>& xs) {
-  // Normalize X = Z · 2^e with Z in [0.5, 1), compute sqrt(Z) with a
-  // Newton iteration on W = 1/sqrt(Z) (then sqrt(Z) = Z·W), and multiply
-  // back the scale sqrt(2^e) — which the normalization pass folds from
-  // the MSB one-hot as a linear functional with public per-level
-  // constants (so the secret exponent never needs a parity split).
-  const size_t n = xs.size();
-  if (n == 0) return std::vector<u128>{};
-  const int kb = 2 * kRecipFrac + 3;
-
-  PIVOT_ASSIGN_OR_RETURN(Normalized norm, Normalize(xs));
-  const std::vector<u128>& z = norm.x2;  // [0.5, 1) at kRecipFrac bits
-
-  // W0 = 2.2 - 1.42·Z: |1 - Z·W0^2| < 0.2 over [0.5, 1); 4 iterations of
-  // W <- W·(3 - Z·W^2)/2 square the error far below 2^-kRecipFrac... the
-  // convergence is quadratic with factor ~1.5·err^2.
-  constexpr u128 kSqrtInitA = 2362232013ULL;  // round(2.2  · 2^30)
-  constexpr u128 kSqrtInitB = 1524713390ULL;  // round(1.42 · 2^30)
-  std::vector<u128> w(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Both terms at 2·kRecipFrac fractional bits before the truncation.
-    w[i] = FpSub(ConstantField(kSqrtInitA << kRecipFrac),
-                 MulPub(z[i], kSqrtInitB));
-  }
-  PIVOT_ASSIGN_OR_RETURN(w, TruncPrVec(w, kRecipFrac, kb));
-  const u128 three = static_cast<u128>(3) << kRecipFrac;
-  for (int iter = 0; iter < 4; ++iter) {
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> w2, MulVec(w, w));
-    PIVOT_ASSIGN_OR_RETURN(w2, TruncPrVec(w2, kRecipFrac, kb));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> zw2, MulVec(z, w2));
-    PIVOT_ASSIGN_OR_RETURN(zw2, TruncPrVec(zw2, kRecipFrac, kb));
-    std::vector<u128> t(n);
-    for (size_t i = 0; i < n; ++i) t[i] = FpSub(ConstantField(three), zw2[i]);
-    PIVOT_ASSIGN_OR_RETURN(w, MulVec(w, t));
-    PIVOT_ASSIGN_OR_RETURN(w, TruncPrVec(w, kRecipFrac + 1, kb));  // ... / 2
-  }
-  // sqrt(Z) = Z·W at kRecipFrac bits.
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> sqrt_z, MulVec(z, w));
-  PIVOT_ASSIGN_OR_RETURN(sqrt_z, TruncPrVec(sqrt_z, kRecipFrac, kb));
-
-  // sqrt(X) = sqrt(Z) · sqrt(2^e); the scale share carries f fractional
-  // bits, so the product drops kRecipFrac bits to land on f.
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> out,
-                         MulVec(sqrt_z, norm.sqrt_scale));
-  return TruncExactVec(out, kRecipFrac, kRecipFrac + 62);
 }
 
 Result<std::vector<u128>> MpcEngine::LogFixedVec(const std::vector<u128>& xs) {
@@ -696,13 +572,30 @@ Result<std::vector<u128>> MpcEngine::ExpFixedVec(const std::vector<u128>& xs) {
   return TruncPrVec(t, kExpLimitLog, 60);
 }
 
-Result<std::vector<u128>> MpcEngine::Softmax(const std::vector<u128>& logits) {
-  PIVOT_CHECK(!logits.empty());
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> exps, ExpFixedVec(logits));
-  u128 sum = 0;
-  for (u128 e : exps) sum = FpAdd(sum, e);
-  std::vector<u128> sums(logits.size(), sum);
-  return DivFixedVec(exps, sums);
+Result<std::vector<std::vector<u128>>> MpcEngine::Softmax(
+    const std::vector<std::vector<u128>>& scores) {
+  PIVOT_CHECK(!scores.empty());
+  const size_t c = scores.size();
+  const size_t n = scores[0].size();
+  std::vector<u128> flat;
+  flat.reserve(c * n);
+  for (const auto& row : scores) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> exps, ExpFixedVec(flat));
+  // Per-sample sums.
+  std::vector<u128> dens(c * n);
+  for (size_t t = 0; t < n; ++t) {
+    u128 sum = 0;
+    for (size_t k = 0; k < c; ++k) sum = FpAdd(sum, exps[k * n + t]);
+    for (size_t k = 0; k < c; ++k) dens[k * n + t] = sum;
+  }
+  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> flat_probs, DivFixedVec(exps, dens));
+  std::vector<std::vector<u128>> probs(c, std::vector<u128>(n));
+  for (size_t k = 0; k < c; ++k) {
+    for (size_t t = 0; t < n; ++t) probs[k][t] = flat_probs[k * n + t];
+  }
+  return probs;
 }
 
 }  // namespace pivot

@@ -43,10 +43,7 @@ class MpcEngine {
 
   // ----- Input / constants / output -----------------------------------
 
-  // Share of a public constant (party 0 holds it, others hold 0).
-  u128 Constant(i128 v) const {
-    return party_id() == 0 ? FpFromSigned(v) : 0;
-  }
+  // Share of a public field constant (party 0 holds it, others hold 0).
   u128 ConstantField(u128 v) const { return party_id() == 0 ? v : 0; }
 
   // Owner secret-shares `value` (ignored on other parties). One round.
@@ -80,7 +77,6 @@ class MpcEngine {
                                    const std::vector<u128>& b);
 
   // Fixed-point multiply: Mul followed by truncation of frac_bits.
-  Result<u128> MulFixed(u128 a, u128 b);
   Result<std::vector<u128>> MulFixedVec(const std::vector<u128>& a,
                                         const std::vector<u128>& b);
 
@@ -99,10 +95,6 @@ class MpcEngine {
   Result<std::vector<u128>> LessThanZeroVec(const std::vector<u128>& xs,
                                             int k_bound);
   Result<u128> LessThanZero(u128 x, int k_bound);
-  // Shared bit [a < b].
-  Result<u128> LessThan(u128 a, u128 b, int k_bound);
-  // cond ? a : b, cond a shared bit.
-  Result<u128> Select(u128 cond, u128 a, u128 b);
 
   // Secure maximum scan (the paper's best-split selection loop): returns
   // shares of the maximum value and of its index.
@@ -112,19 +104,6 @@ class MpcEngine {
   };
   // `k_bound` bounds the compared differences.
   Result<ArgmaxShares> Argmax(const std::vector<u128>& values, int k_bound);
-
-  // Derived comparison helpers (each costs one or two comparisons).
-  // |x| for |x| < 2^(k_bound-1).
-  Result<std::vector<u128>> AbsVec(const std::vector<u128>& xs, int k_bound);
-  // sign(x) in {-1, 0, 1} is NOT provided (zero-testing is a different
-  // protocol); SignNonzero returns shares of -1/+1 for x != 0.
-  Result<std::vector<u128>> SignNonzeroVec(const std::vector<u128>& xs,
-                                           int k_bound);
-  // min(a, b) element-wise.
-  Result<std::vector<u128>> MinVec(const std::vector<u128>& a,
-                                   const std::vector<u128>& b, int k_bound);
-  // Secure minimum scan (same shape as Argmax).
-  Result<ArgmaxShares> Argmin(const std::vector<u128>& values, int k_bound);
 
   // Converts a shared index i* into shares of the one-hot indicator vector
   // (lambda in the paper's private split selection): size `size`,
@@ -149,17 +128,17 @@ class MpcEngine {
   // valid for |X| <= 2^(l-2) with l = 10. See DESIGN.md.
   Result<std::vector<u128>> ExpFixedVec(const std::vector<u128>& xs);
 
-  // Fixed-point square root for X >= 0 (raw value < 2^48), via the
-  // normalized Newton iteration for 1/sqrt followed by X·(1/sqrt(X)).
-  Result<std::vector<u128>> SqrtFixedVec(const std::vector<u128>& xs);
-
   // Fixed-point natural logarithm for X > 0 (raw value < 2^48):
   // normalizes to [0.5, 1) and evaluates ln via the atanh series, then adds
   // back the exponent times ln 2. Used by the MPC Laplace sampler.
   Result<std::vector<u128>> LogFixedVec(const std::vector<u128>& xs);
 
-  // Softmax over shared logits (secure exp + secure division).
-  Result<std::vector<u128>> Softmax(const std::vector<u128>& logits);
+  // Batched softmax over per-sample logit rows (GBDT classification):
+  // `scores[k][t]` is the share of class k's score for sample t, and the
+  // result holds the class probabilities in the same class-major layout.
+  // One ExpFixedVec and one DivFixedVec cover every class and sample.
+  Result<std::vector<std::vector<u128>>> Softmax(
+      const std::vector<std::vector<u128>>& scores);
 
   // Number of communication rounds this engine has participated in.
   uint64_t rounds() const { return rounds_; }
@@ -193,8 +172,6 @@ class MpcEngine {
     std::vector<u128> c2;
     // Shares of the integer exponent e with X = X_norm · 2^e.
     std::vector<u128> exponent;
-    // Shares of sqrt(2^e) at frac_bits (for SqrtFixedVec).
-    std::vector<u128> sqrt_scale;
   };
   Result<Normalized> Normalize(const std::vector<u128>& xs);
 

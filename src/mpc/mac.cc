@@ -57,8 +57,6 @@ AuthDealer::AuthTriple AuthDealer::NextTriple() {
   return t;
 }
 
-AuthShare AuthDealer::ShareOfPublic(u128 value) { return ShareOfAuth(value); }
-
 AuthEngine::AuthEngine(Endpoint* endpoint, AuthDealer* dealer)
     : endpoint_(endpoint), dealer_(dealer) {}
 

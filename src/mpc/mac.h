@@ -43,8 +43,6 @@ class AuthDealer {
     AuthShare a, b, c;
   };
   AuthTriple NextTriple();
-  // Authenticated sharing of a public constant (used for Input masking).
-  AuthShare ShareOfPublic(u128 value);
 
  private:
   AuthShare ShareOfAuth(u128 value);

@@ -18,35 +18,6 @@ std::vector<int> BootstrapWeights(int n, uint64_t seed, int w) {
   return counts;
 }
 
-// Batched secure softmax over per-sample logit rows (GBDT classification).
-// `scores[k][t]`: share of class-k score for sample t. Returns probs in
-// the same layout.
-Result<std::vector<std::vector<u128>>> SoftmaxRows(
-    MpcEngine& eng, const std::vector<std::vector<u128>>& scores) {
-  const size_t c = scores.size();
-  const size_t n = scores[0].size();
-  std::vector<u128> flat;
-  flat.reserve(c * n);
-  for (const auto& row : scores) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> exps, eng.ExpFixedVec(flat));
-  // Per-sample sums.
-  std::vector<u128> dens(c * n);
-  for (size_t t = 0; t < n; ++t) {
-    u128 sum = 0;
-    for (size_t k = 0; k < c; ++k) sum = FpAdd(sum, exps[k * n + t]);
-    for (size_t k = 0; k < c; ++k) dens[k * n + t] = sum;
-  }
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> flat_probs,
-                         eng.DivFixedVec(exps, dens));
-  std::vector<std::vector<u128>> probs(c, std::vector<u128>(n));
-  for (size_t k = 0; k < c; ++k) {
-    for (size_t t = 0; t < n; ++t) probs[k][t] = flat_probs[k * n + t];
-  }
-  return probs;
-}
-
 // Scales shares by a public fixed-point factor (e.g. the learning rate)
 // and renormalizes.
 Result<std::vector<u128>> ScaleShares(MpcEngine& eng,
@@ -193,7 +164,7 @@ Result<PivotEnsemble> TrainPivotGbdt(PartyContext& ctx,
   model.forests.resize(c);
   for (int w = 0; w < W; ++w) {
     PIVOT_ASSIGN_OR_RETURN(std::vector<std::vector<u128>> probs,
-                           SoftmaxRows(eng, scores));
+                           eng.Softmax(scores));
     for (int k = 0; k < c; ++k) {
       std::vector<u128> residual(n);
       for (int t = 0; t < n; ++t) {

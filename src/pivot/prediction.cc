@@ -1,6 +1,7 @@
 #include "pivot/prediction.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 #include "common/fixed_point.h"
@@ -52,6 +53,25 @@ std::vector<BigInt> LeafPlainVector(const PivotTree& tree,
   return z;
 }
 
+// Both sweeps route an internal node by its owner: basic selectors skip
+// the nodes a party does not own, and the enhanced sweep takes a public
+// feature's value from its owner. So every such node must name a party in
+// [0, m); a hidden-feature enhanced node (feature_local < 0) is routed by
+// its lambda selectors instead and may name none. Runs before a sweep
+// sends anything, so every party rejects the tree alike.
+Status CheckRoutedOwners(const PartyContext& ctx, const PivotTree& tree) {
+  for (const PivotNode& n : tree.nodes) {
+    if (n.is_leaf) continue;
+    if (tree.protocol == Protocol::kEnhanced && n.feature_local < 0) continue;
+    if (n.owner < 0 || n.owner >= ctx.num_parties()) {
+      return Status::InvalidArgument(
+          "tree node owner " + std::to_string(n.owner) + " is not one of the " +
+          std::to_string(ctx.num_parties()) + " parties");
+    }
+  }
+  return Status::Ok();
+}
+
 // Batched selector bits for this party: sel[b*leaves + leaf] is 1 iff
 // row b is consistent with the leaf's root path at every internal node
 // this party owns.
@@ -96,6 +116,7 @@ Result<std::vector<Ciphertext>> RunBasicPredictionBatch(
     PartyContext& ctx, const PivotTree& tree,
     const std::vector<std::vector<double>>& rows,
     const PredictionCache& cache) {
+  PIVOT_RETURN_IF_ERROR(CheckRoutedOwners(ctx, tree));
   const int m = ctx.num_parties();
   const size_t batch = rows.size();
   const size_t leaves = cache.paths.size();
@@ -142,6 +163,7 @@ Result<std::vector<u128>> RunEnhancedPredictionBatch(
     PartyContext& ctx, const PivotTree& tree,
     const std::vector<std::vector<double>>& rows,
     const PredictionCache& cache) {
+  PIVOT_RETURN_IF_ERROR(CheckRoutedOwners(ctx, tree));
   MpcEngine& eng = ctx.engine();
   const int k_bound = ctx.params().mpc.value_bits;
   const size_t batch = rows.size();

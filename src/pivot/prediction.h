@@ -27,7 +27,9 @@ namespace pivot {
 // Every entry point below is one batched sweep of these two protocols
 // (RunBasicPredictionBatch / RunEnhancedPredictionBatch in
 // prediction.cc); the single-row calls run a batch of one. All calls are
-// SPMD, and a row narrower than this party's view is InvalidArgument.
+// SPMD. A row narrower than this party's view is InvalidArgument, and so,
+// on every party before any message, is a tree with an internal node whose
+// owner is not one of the parties (enhanced hidden-feature nodes exempt).
 //
 // PredictPivot returns the predicted label to every party; it equals
 // PredictPivotBatch(ctx, tree, {my_features})[0].

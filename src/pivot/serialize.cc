@@ -9,7 +9,6 @@ namespace pivot {
 
 namespace {
 
-constexpr uint32_t kTreeModelMagic = 0x50544d31;   // "PTM1"
 constexpr uint32_t kPivotTreeMagic = 0x50565432;   // "PVT2"
 constexpr uint32_t kEnsembleMagic = 0x50564531;    // "PVE1"
 
@@ -141,43 +140,6 @@ Result<PivotTree> DecodePivotTree(const Bytes& data, bool in_progress) {
 }
 
 }  // namespace
-
-Bytes SerializeTreeModel(const TreeModel& model) {
-  ByteWriter w;
-  w.WriteU32(kTreeModelMagic);
-  w.WriteU64(model.nodes().size());
-  for (const TreeNode& n : model.nodes()) {
-    w.WriteU8(n.is_leaf ? 1 : 0);
-    WriteIndex(n.feature, w);
-    w.WriteDouble(n.threshold);
-    w.WriteDouble(n.leaf_value);
-    WriteIndex(n.left, w);
-    WriteIndex(n.right, w);
-  }
-  return w.Take();
-}
-
-Result<TreeModel> DeserializeTreeModel(const Bytes& data) {
-  ByteReader r(data);
-  PIVOT_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kTreeModelMagic) {
-    return Status::InvalidArgument("not a serialized TreeModel");
-  }
-  PIVOT_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-  TreeModel model;
-  for (uint64_t i = 0; i < count; ++i) {
-    TreeNode n;
-    PIVOT_ASSIGN_OR_RETURN(uint8_t leaf, r.ReadU8());
-    n.is_leaf = leaf != 0;
-    PIVOT_ASSIGN_OR_RETURN(n.feature, ReadIndex(r));
-    PIVOT_ASSIGN_OR_RETURN(n.threshold, r.ReadDouble());
-    PIVOT_ASSIGN_OR_RETURN(n.leaf_value, r.ReadDouble());
-    PIVOT_ASSIGN_OR_RETURN(n.left, ReadIndex(r));
-    PIVOT_ASSIGN_OR_RETURN(n.right, ReadIndex(r));
-    model.AddNode(n);
-  }
-  return model;
-}
 
 Bytes SerializePivotTree(const PivotTree& tree) {
   ByteWriter w;

@@ -5,7 +5,6 @@
 
 #include "common/bytes.h"
 #include "pivot/model.h"
-#include "tree/tree_model.h"
 
 namespace pivot {
 
@@ -21,9 +20,6 @@ namespace pivot {
 //    writes every field (leaf masks and lambda selectors included), and
 //    training checkpoints embed trees through it. Decoding rejects all
 //    but one tree rooted at node 0 with children after their parent.
-
-Bytes SerializeTreeModel(const TreeModel& model);
-Result<TreeModel> DeserializeTreeModel(const Bytes& data);
 
 Bytes SerializePivotTree(const PivotTree& tree);
 Result<PivotTree> DeserializePivotTree(const Bytes& data);

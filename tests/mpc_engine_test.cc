@@ -21,6 +21,20 @@ double FromFix(u128 v) {
   return FixedToDouble(static_cast<int64_t>(FpToSigned(v)));
 }
 
+// Uniform signed value with |x| < 2^(k_bound-1), the engine's input bound.
+i128 RandomInBound(Rng& rng, int k_bound) {
+  const u128 mask = (static_cast<u128>(1) << (k_bound - 1)) - 1;
+  const u128 raw = (static_cast<u128>(rng.NextU64()) << 64) | rng.NextU64();
+  const auto mag = static_cast<i128>(raw & mask);
+  return (rng.NextU64() & 1) ? -mag : mag;
+}
+
+// Edge values of the bound: 0, ±1 and ±(2^(k_bound-1) - 1).
+std::vector<i128> EdgeValues(int k_bound) {
+  const i128 top = (i128{1} << (k_bound - 1)) - 1;
+  return {0, 1, -1, top, -top};
+}
+
 // Runs `body` as an SPMD protocol over `m` parties and asserts success.
 void RunMpc(int m, const std::function<Status(MpcEngine&, Preprocessing&)>& body,
             uint64_t seed = 1234) {
@@ -140,8 +154,8 @@ TEST(EngineFixedTest, MulFixed) {
                         {100.0, 0.001}}) {
       PIVOT_ASSIGN_OR_RETURN(u128 a, eng.Input(0, FixedFromDouble(x)));
       PIVOT_ASSIGN_OR_RETURN(u128 b, eng.Input(0, FixedFromDouble(y)));
-      PIVOT_ASSIGN_OR_RETURN(u128 c, eng.MulFixed(a, b));
-      PIVOT_ASSIGN_OR_RETURN(u128 opened, eng.Open(c));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> c, eng.MulFixedVec({a}, {b}));
+      PIVOT_ASSIGN_OR_RETURN(u128 opened, eng.Open(c[0]));
       // Compare against the product of the *quantized* inputs.
       const double want = FixedToDouble(FixedFromDouble(x)) *
                           FixedToDouble(FixedFromDouble(y));
@@ -185,16 +199,38 @@ TEST(EngineTruncTest, TruncExactIsExact) {
       xs.push_back(static_cast<i128>(vals.NextInRange(-1'000'000'000'000,
                                                       1'000'000'000'000)));
     }
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                           eng.InputVector(0, xs, xs.size()));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> trunc,
-                           eng.TruncExactVec(shares, 16, 64));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> opened, eng.OpenVec(trunc));
-    for (size_t i = 0; i < xs.size(); ++i) {
-      // Floor division by 2^16 (arithmetic shift).
-      i128 expected = xs[i] >> 16;
-      if (FpToSigned(opened[i]) != expected) {
-        return Status::Internal("truncexact mismatch at " + std::to_string(i));
+    // (f, k_bound) = (16, 64), then the pairs of Normalize (26, 57),
+    // ReciprocalVec's denormalization (56, 90) and LogFixedVec (14, 38)
+    // at frac_bits 16.
+    struct Case {
+      int f;
+      int k_bound;
+      std::vector<i128> values;
+    };
+    std::vector<Case> cases = {{16, 64, xs}};
+    for (auto [f, k] : {std::pair{26, 57}, {56, 90}, {14, 38}}) {
+      Case c{f, k, EdgeValues(k)};
+      for (i128 v : {i128{1} << f, (i128{1} << f) - 1}) {
+        c.values.push_back(v);
+        c.values.push_back(-v);
+      }
+      for (int i = 0; i < 20; ++i) c.values.push_back(RandomInBound(vals, k));
+      cases.push_back(std::move(c));
+    }
+    for (const Case& c : cases) {
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
+                             eng.InputVector(0, c.values, c.values.size()));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> trunc,
+                             eng.TruncExactVec(shares, c.f, c.k_bound));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> opened, eng.OpenVec(trunc));
+      for (size_t i = 0; i < c.values.size(); ++i) {
+        // Floor division by 2^f (arithmetic shift).
+        i128 expected = c.values[i] >> c.f;
+        if (FpToSigned(opened[i]) != expected) {
+          return Status::Internal("truncexact mismatch at f=" +
+                                  std::to_string(c.f) + " index " +
+                                  std::to_string(i));
+        }
       }
     }
     return Status::Ok();
@@ -203,37 +239,29 @@ TEST(EngineTruncTest, TruncExactIsExact) {
 
 TEST(EngineCompareTest, LessThanZero) {
   RunMpc(3, [](MpcEngine& eng, Preprocessing&) -> Status {
-    std::vector<i128> xs = {0, 1, -1, 5, -5, (i128{1} << 62), -(i128{1} << 62),
-                            65536, -65536};
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                           eng.InputVector(0, xs, xs.size()));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> bits,
-                           eng.LessThanZeroVec(shares, 64));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> opened, eng.OpenVec(bits));
-    for (size_t i = 0; i < xs.size(); ++i) {
-      i128 expected = xs[i] < 0 ? 1 : 0;
-      if (FpToSigned(opened[i]) != expected) {
-        return Status::Internal("ltz mismatch at " + std::to_string(i));
+    Rng vals(99);
+    for (int k : {40, 48, 64}) {
+      std::vector<i128> xs = EdgeValues(k);
+      if (k == 64) {
+        for (i128 v : {i128{5}, i128{-5}, i128{1} << 62, -(i128{1} << 62),
+                       i128{65536}, i128{-65536}}) {
+          xs.push_back(v);
+        }
+      }
+      for (int i = 0; i < 20; ++i) xs.push_back(RandomInBound(vals, k));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
+                             eng.InputVector(0, xs, xs.size()));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> bits,
+                             eng.LessThanZeroVec(shares, k));
+      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> opened, eng.OpenVec(bits));
+      for (size_t i = 0; i < xs.size(); ++i) {
+        i128 expected = xs[i] < 0 ? 1 : 0;
+        if (FpToSigned(opened[i]) != expected) {
+          return Status::Internal("ltz mismatch at k=" + std::to_string(k) +
+                                  " index " + std::to_string(i));
+        }
       }
     }
-    return Status::Ok();
-  });
-}
-
-TEST(EngineCompareTest, LessThanAndSelect) {
-  RunMpc(2, [](MpcEngine& eng, Preprocessing&) -> Status {
-    PIVOT_ASSIGN_OR_RETURN(u128 a, eng.Input(0, 10));
-    PIVOT_ASSIGN_OR_RETURN(u128 b, eng.Input(0, 20));
-    PIVOT_ASSIGN_OR_RETURN(u128 lt, eng.LessThan(a, b, 64));
-    PIVOT_ASSIGN_OR_RETURN(u128 gt, eng.LessThan(b, a, 64));
-    PIVOT_ASSIGN_OR_RETURN(u128 lt_open, eng.Open(lt));
-    PIVOT_ASSIGN_OR_RETURN(u128 gt_open, eng.Open(gt));
-    if (FpToSigned(lt_open) != 1 || FpToSigned(gt_open) != 0) {
-      return Status::Internal("lessthan mismatch");
-    }
-    PIVOT_ASSIGN_OR_RETURN(u128 sel, eng.Select(lt, a, b));
-    PIVOT_ASSIGN_OR_RETURN(u128 sel_open, eng.Open(sel));
-    if (FpToSigned(sel_open) != 10) return Status::Internal("select mismatch");
     return Status::Ok();
   });
 }
@@ -282,7 +310,9 @@ TEST(EngineCompareTest, OneHotSelectsIndex) {
 
 TEST(EngineBitTest, BitDecomposition) {
   RunMpc(2, [](MpcEngine& eng, Preprocessing&) -> Status {
-    std::vector<i128> xs = {0, 1, 2, 255, 256, 123456789, (i128{1} << 40)};
+    std::vector<i128> xs = {0,         1,          2,
+                            255,       256,        123456789,
+                            i128{1} << 40,         (i128{1} << 48) - 1};
     PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
                            eng.InputVector(0, xs, xs.size()));
     PIVOT_ASSIGN_OR_RETURN(auto bits, eng.BitDecVec(shares, 48));
@@ -394,30 +424,45 @@ TEST(EngineExpTest, LogAccuracy) {
 
 TEST(EngineExpTest, SoftmaxNormalizesAndOrders) {
   RunMpc(2, [](MpcEngine& eng, Preprocessing&) -> Status {
-    std::vector<double> logits = {0.5, 2.0, -1.0, 1.0};
-    std::vector<i128> raw;
-    for (double x : logits) raw.push_back(FixedFromDouble(x));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                           eng.InputVector(0, raw, raw.size()));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> probs, eng.Softmax(shares));
-    PIVOT_ASSIGN_OR_RETURN(std::vector<u128> opened, eng.OpenVec(probs));
-    double total = 0.0;
-    std::vector<double> p;
-    for (u128 v : opened) {
-      p.push_back(FromFix(v));
-      total += p.back();
+    // logits[t][k]: class k's logit for sample t; the engine takes the
+    // class-major transpose.
+    const std::vector<std::vector<double>> logits = {{0.5, 2.0, -1.0, 1.0},
+                                                     {-2.0, 0.0, 1.5, 0.25}};
+    const size_t n = logits.size(), c = logits[0].size();
+    std::vector<std::vector<u128>> scores(c);
+    for (size_t k = 0; k < c; ++k) {
+      std::vector<i128> raw;
+      for (size_t t = 0; t < n; ++t) raw.push_back(FixedFromDouble(logits[t][k]));
+      PIVOT_ASSIGN_OR_RETURN(scores[k], eng.InputVector(0, raw, n));
     }
-    if (std::abs(total - 1.0) > 0.01) return Status::Internal("softmax sum");
-    // Ordering must match logits: index 1 largest, index 2 smallest.
-    if (!(p[1] > p[3] && p[3] > p[0] && p[0] > p[2])) {
-      return Status::Internal("softmax ordering");
+    PIVOT_ASSIGN_OR_RETURN(std::vector<std::vector<u128>> probs,
+                           eng.Softmax(scores));
+    std::vector<std::vector<u128>> opened(c);
+    for (size_t k = 0; k < c; ++k) {
+      PIVOT_ASSIGN_OR_RETURN(opened[k], eng.OpenVec(probs[k]));
     }
-    // Cross-check against plaintext softmax.
-    double denom = 0.0;
-    for (double x : logits) denom += std::exp(x);
-    for (size_t i = 0; i < logits.size(); ++i) {
-      if (std::abs(p[i] - std::exp(logits[i]) / denom) > 0.02) {
-        return Status::Internal("softmax value off");
+    for (size_t t = 0; t < n; ++t) {
+      double total = 0.0, denom = 0.0;
+      std::vector<double> p;
+      for (size_t k = 0; k < c; ++k) {
+        p.push_back(FromFix(opened[k][t]));
+        total += p.back();
+        denom += std::exp(logits[t][k]);
+      }
+      if (std::abs(total - 1.0) > 0.01) return Status::Internal("softmax sum");
+      // Ordering must match each sample's logits.
+      for (size_t a = 0; a < c; ++a) {
+        for (size_t b = 0; b < c; ++b) {
+          if (logits[t][a] > logits[t][b] && !(p[a] > p[b])) {
+            return Status::Internal("softmax ordering");
+          }
+        }
+      }
+      // Cross-check against plaintext softmax.
+      for (size_t k = 0; k < c; ++k) {
+        if (std::abs(p[k] - std::exp(logits[t][k]) / denom) > 0.02) {
+          return Status::Internal("softmax value off");
+        }
       }
     }
     return Status::Ok();

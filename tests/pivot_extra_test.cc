@@ -219,6 +219,56 @@ TEST(PivotExtraTest, NarrowRowIsInvalidArgument) {
   }
 }
 
+TEST(PivotExtraTest, OutOfRangeOwnerIsInvalidArgument) {
+  // A decoded model whose root names owner 7 in a 3-party federation.
+  // Both sweeps must reject it on every party before sending anything:
+  // no party owns the root, so the basic selectors would keep both leaves
+  // and the enhanced sweep would wait for party 7's input.
+  Dataset data = TinyClassification(12, 3, 2, 79);
+  FederationConfig cfg;
+  cfg.num_parties = 3;
+  cfg.params.tree.num_classes = 2;
+  cfg.params.key_bits = 256;
+  for (Protocol protocol : {Protocol::kBasic, Protocol::kEnhanced}) {
+    SCOPED_TRACE(protocol == Protocol::kBasic ? "basic" : "enhanced");
+    PivotTree tree;
+    tree.protocol = protocol;
+    tree.num_classes = 2;
+    PivotNode root;
+    root.owner = 7;
+    root.feature_local = 0;
+    root.left = 1;
+    root.right = 2;
+    tree.nodes.push_back(root);
+    for (int leaf = 0; leaf < 2; ++leaf) {
+      PivotNode n;
+      n.is_leaf = true;
+      n.leaf_value = leaf;
+      tree.nodes.push_back(n);
+    }
+    Result<PivotTree> decoded = DeserializePivotTree(SerializePivotTree(tree));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+      const std::vector<double> row = SliceRowsForParty(data, ctx.id(), 3)[0];
+      const uint64_t sent = ctx.endpoint().messages_sent();
+      Result<std::vector<double>> preds =
+          PredictPivotBatch(ctx, decoded.value(), {row});
+      if (preds.ok()) {
+        return Status::Internal("owner 7 accepted, prediction " +
+                                std::to_string(preds.value()[0]));
+      }
+      if (preds.status().code() != StatusCode::kInvalidArgument) {
+        return preds.status();
+      }
+      if (ctx.endpoint().messages_sent() != sent) {
+        return Status::Internal("a message was sent before the rejection");
+      }
+      return Status::Ok();
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
 TEST(PivotExtraTest, TrainingIsDeterministicInSeeds) {
   Dataset data = TinyClassification(40, 4, 2, 77);
   FederationConfig cfg;

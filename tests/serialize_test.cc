@@ -5,21 +5,8 @@
 #include <cstdio>
 #include <functional>
 
-#include "data/synthetic.h"
-#include "tree/cart.h"
-
 namespace pivot {
 namespace {
-
-TreeModel MakePlainTree() {
-  ClassificationSpec spec;
-  spec.num_samples = 150;
-  spec.num_features = 6;
-  Dataset data = MakeClassification(spec);
-  TreeParams params;
-  params.num_classes = spec.num_classes;
-  return TrainCart(data, params);
-}
 
 PivotTree MakePivotTreeFixture(Protocol protocol) {
   PivotTree tree;
@@ -42,22 +29,6 @@ PivotTree MakePivotTreeFixture(Protocol protocol) {
     tree.nodes.push_back(n);
   }
   return tree;
-}
-
-TEST(SerializeTest, TreeModelRoundTrip) {
-  TreeModel model = MakePlainTree();
-  Bytes data = SerializeTreeModel(model);
-  Result<TreeModel> back = DeserializeTreeModel(data);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back.value().nodes().size(), model.nodes().size());
-  // Identical predictions on probe rows.
-  ClassificationSpec spec;
-  spec.num_samples = 30;
-  spec.num_features = 6;
-  Dataset probe = MakeClassification(spec);
-  for (const auto& row : probe.features) {
-    EXPECT_DOUBLE_EQ(back.value().Predict(row), model.Predict(row));
-  }
 }
 
 TEST(SerializeTest, PivotTreeBasicRoundTrip) {
@@ -109,7 +80,6 @@ TEST(SerializeTest, EnsembleRoundTrip) {
 
 TEST(SerializeTest, RejectsWrongMagicAndTruncation) {
   Bytes garbage = {1, 2, 3, 4, 5};
-  EXPECT_FALSE(DeserializeTreeModel(garbage).ok());
   EXPECT_FALSE(DeserializePivotTree(garbage).ok());
   EXPECT_FALSE(DeserializePivotEnsemble(garbage).ok());
   Bytes tree_bytes = SerializePivotTree(MakePivotTreeFixture(Protocol::kBasic));
