@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%-8d %13.3fs %13.3fs %13.2fM %13.2fM %12llu %12llu\n", n,
                 hybrid.value().seconds, pure.value().seconds,
-                hybrid.value().ops.bytes / 1e6, pure.value().ops.bytes / 1e6,
+                hybrid.value().bytes_sent / 1e6, pure.value().bytes_sent / 1e6,
                 static_cast<unsigned long long>(hybrid.value().ops.cs),
                 static_cast<unsigned long long>(pure.value().ops.cs));
   }

@@ -224,10 +224,12 @@ inline const char* SystemName(System s) {
 struct TrainResult {
   double seconds = 0.0;
   OpSnapshot ops;  // delta over the training run (all parties aggregated)
+  uint64_t bytes_sent = 0;  // payload bytes, all parties (NetworkStats)
 };
 
 // Trains one tree with the given system and reports party-0 wall time plus
-// the operation-count delta. Key generation / data partitioning excluded.
+// the operation-count and traffic deltas. Key generation / data
+// partitioning excluded.
 inline Result<TrainResult> TimeTreeTraining(const Dataset& data,
                                             FederationConfig cfg,
                                             System system) {
@@ -240,6 +242,7 @@ inline Result<TrainResult> TimeTreeTraining(const Dataset& data,
   TrainResult result;
   std::mutex mu;
   OpSnapshot before = OpSnapshot::Take();
+  NetworkStats net;
   Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
     WallTimer timer;
     switch (system) {
@@ -268,9 +271,10 @@ inline Result<TrainResult> TimeTreeTraining(const Dataset& data,
       result.seconds = timer.ElapsedSeconds();
     }
     return Status::Ok();
-  });
+  }, &net);
   PIVOT_RETURN_IF_ERROR(st);
   result.ops = OpSnapshot::Take().Delta(before);
+  result.bytes_sent = net.bytes_sent;
   return result;
 }
 

@@ -16,8 +16,7 @@ class SpdzTrainer {
   explicit SpdzTrainer(PartyContext& ctx)
       : ctx_(ctx),
         m_(ctx.num_parties()),
-        me_(ctx.id()),
-        f_(ctx.params().mpc.frac_bits) {
+        me_(ctx.id()) {
     n_ = static_cast<int>(ctx.view().features.size());
     regression_ = ctx.params().tree.task == TreeTask::kRegression;
     c_ = ctx.params().tree.num_classes;
@@ -142,7 +141,7 @@ class SpdzTrainer {
     PivotNode leaf;
     leaf.is_leaf = true;
     if (regression_) {
-      u128 denom = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << f_);
+      u128 denom = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << kFracBits);
       denom = eng().AddConstField(denom, 1);
       PIVOT_ASSIGN_OR_RETURN(u128 mean, eng().DivFixed(agg[1], denom));
       PIVOT_ASSIGN_OR_RETURN(u128 opened, eng().Open(mean));
@@ -150,7 +149,7 @@ class SpdzTrainer {
     } else {
       std::vector<u128> counts(agg.begin() + 1, agg.end());
       for (u128& g : counts) {
-        g = MpcEngine::MulPub(g, static_cast<u128>(1) << f_);
+        g = MpcEngine::MulPub(g, static_cast<u128>(1) << kFracBits);
       }
       PIVOT_ASSIGN_OR_RETURN(MpcEngine::ArgmaxShares best,
                              eng().Argmax(counts, 48));
@@ -182,9 +181,9 @@ class SpdzTrainer {
     EnumerateSplits(available, &blocks, &total_splits);
     bool prune = depth >= tree_params().max_depth || total_splits == 0;
     if (!prune) {
-      u128 cnt = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << f_);
+      u128 cnt = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << kFracBits);
       const i128 threshold =
-          static_cast<i128>(tree_params().min_samples_split) << f_;
+          static_cast<i128>(tree_params().min_samples_split) << kFracBits;
       PIVOT_ASSIGN_OR_RETURN(
           u128 below, eng().LessThanZero(eng().AddConst(cnt, -threshold), 48));
       PIVOT_ASSIGN_OR_RETURN(u128 opened, eng().Open(below));
@@ -296,7 +295,6 @@ class SpdzTrainer {
   PartyContext& ctx_;
   int m_;
   int me_;
-  int f_;
   int n_;
   bool regression_;
   int c_;

@@ -593,8 +593,6 @@ BigInt MontgomeryContext::FromMontgomery(const BigInt& a) const {
   return MontMul(a, BigInt(1));
 }
 
-BigInt MontgomeryContext::Redc(const BigInt& t) const { return FromMontgomery(t); }
-
 BigInt MontgomeryContext::ModMul(const BigInt& a, const BigInt& b) const {
   return FromMontgomery(MontMul(ToMontgomery(a), ToMontgomery(b)));
 }

@@ -166,9 +166,6 @@ class MontgomeryContext {
   BigInt MontExpWithTable(const BigInt table[16], const BigInt& exp) const;
 
  private:
-  // Montgomery reduction of a double-width product.
-  BigInt Redc(const BigInt& t) const;
-
   BigInt modulus_;
   size_t k_;            // number of limbs in modulus
   uint64_t n_prime_;    // -modulus^{-1} mod 2^64

@@ -23,10 +23,6 @@ void ByteWriter::WriteBytes(const Bytes& b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-void ByteWriter::WriteRaw(const uint8_t* data, size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
-}
-
 void ByteWriter::WriteString(const std::string& s) {
   WriteU64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());

@@ -26,7 +26,6 @@ class ByteWriter {
   void WriteDouble(double v);
   // Length-prefixed byte blob.
   void WriteBytes(const Bytes& b);
-  void WriteRaw(const uint8_t* data, size_t len);
   void WriteString(const std::string& s);
 
   const Bytes& data() const { return buf_; }

@@ -8,41 +8,34 @@
 
 namespace pivot {
 
-// Fixed-point codec shared by the whole system.
+// The one fixed-point format of the whole system.
 //
 // The cryptographic substrates (Paillier, additive secret sharing) operate
 // on integers, so every real-valued quantity (feature values, labels,
 // impurity gains, probabilities) is represented as round(x * 2^f). The
 // paper's implementation does the same ("we convert the floating point
-// datasets into fixed-point integer representation", Section 8).
-struct FixedPointParams {
-  // Fractional bits.
-  int frac_bits = 16;
-  // Total magnitude bound (|encoded| < 2^total_bits). Protocol-level
-  // comparison/truncation protocols rely on this bound.
-  int total_bits = 64;
+// datasets into fixed-point integer representation", Section 8). These
+// are protocol constants, not settings: the MPC truncation, comparison
+// and division protocols, the DP samplers and the Paillier headroom
+// checks all assume them.
 
-  int64_t Scale() const { return int64_t{1} << frac_bits; }
-};
+// f: fractional bits.
+inline constexpr int kFracBits = 16;
+// k: logical values satisfy |x| < 2^(k-1); comparison and truncation
+// protocols rely on this bound.
+inline constexpr int kValueBits = 64;
+// κ: statistical masking security (bits) of truncation/comparison opens.
+inline constexpr int kStatSec = 40;
 
-inline constexpr FixedPointParams kDefaultFixedPoint{};
-
-inline int64_t FixedFromDouble(double x, const FixedPointParams& fp = kDefaultFixedPoint) {
-  double scaled = x * static_cast<double>(fp.Scale());
-  PIVOT_CHECK_MSG(std::abs(scaled) < std::ldexp(1.0, fp.total_bits - 1),
+inline int64_t FixedFromDouble(double x) {
+  const double scaled = x * static_cast<double>(int64_t{1} << kFracBits);
+  PIVOT_CHECK_MSG(std::abs(scaled) < std::ldexp(1.0, kValueBits - 1),
                   "fixed-point overflow");
   return static_cast<int64_t>(std::llround(scaled));
 }
 
-inline double FixedToDouble(int64_t v, const FixedPointParams& fp = kDefaultFixedPoint) {
-  return static_cast<double>(v) / static_cast<double>(fp.Scale());
-}
-
-// Product of two fixed-point values carries 2f fractional bits; divide by
-// the scale to renormalize (plaintext analogue of secure truncation).
-inline int64_t FixedMul(int64_t a, int64_t b, const FixedPointParams& fp = kDefaultFixedPoint) {
-  __int128 p = static_cast<__int128>(a) * static_cast<__int128>(b);
-  return static_cast<int64_t>(p >> fp.frac_bits);
+inline double FixedToDouble(int64_t v) {
+  return static_cast<double>(v) / static_cast<double>(int64_t{1} << kFracBits);
 }
 
 }  // namespace pivot

@@ -14,8 +14,6 @@ void OpCounters::Reset() {
   cd_.store(0);
   cs_.store(0);
   cc_.store(0);
-  bytes_.store(0);
-  messages_.store(0);
   ckpt_writes_.store(0);
   ckpt_write_us_.store(0);
   ckpt_restores_.store(0);
@@ -35,8 +33,6 @@ OpSnapshot OpSnapshot::Take() {
   s.cd = g.threshold_decryptions();
   s.cs = g.secure_ops();
   s.cc = g.secure_comparisons();
-  s.bytes = g.bytes_sent();
-  s.messages = g.messages();
   s.ckpt_writes = g.checkpoint_writes();
   s.ckpt_write_us = g.checkpoint_write_micros();
   s.ckpt_restores = g.checkpoint_restores();
@@ -56,8 +52,6 @@ OpSnapshot OpSnapshot::Delta(const OpSnapshot& earlier) const {
   d.cd = cd - earlier.cd;
   d.cs = cs - earlier.cs;
   d.cc = cc - earlier.cc;
-  d.bytes = bytes - earlier.bytes;
-  d.messages = messages - earlier.messages;
   d.ckpt_writes = ckpt_writes - earlier.ckpt_writes;
   d.ckpt_write_us = ckpt_write_us - earlier.ckpt_write_us;
   d.ckpt_restores = ckpt_restores - earlier.ckpt_restores;
@@ -73,8 +67,7 @@ OpSnapshot OpSnapshot::Delta(const OpSnapshot& earlier) const {
 
 std::string OpSnapshot::ToString() const {
   std::ostringstream os;
-  os << "Ce=" << ce << " Cd=" << cd << " Cs=" << cs << " Cc=" << cc
-     << " bytes=" << bytes << " msgs=" << messages;
+  os << "Ce=" << ce << " Cd=" << cd << " Cs=" << cs << " Cc=" << cc;
   if (pool_tasks > 0 || batch_calls > 0) {
     os << " pool_tasks=" << pool_tasks << " batch_calls=" << batch_calls
        << " enc_pool=" << enc_pool_hits << "h/" << enc_pool_misses << "m";

@@ -12,7 +12,8 @@ namespace pivot {
 //   Cd - threshold decryptions
 //   Cs - operations on secretly shared values
 //   Cc - secure comparisons
-// plus network traffic (bytes / messages / rounds). Counters are
+// plus kernel, checkpoint and serving accounting. Network traffic is
+// counted once, per endpoint (net/network.h, NetworkStats). Counters are
 // process-wide and thread-safe; the bench harness snapshots them around a
 // protocol run to report per-experiment operation counts.
 class OpCounters {
@@ -23,8 +24,6 @@ class OpCounters {
   void AddThresholdDecryption(uint64_t n = 1) { cd_.fetch_add(n, std::memory_order_relaxed); }
   void AddSecureOp(uint64_t n = 1) { cs_.fetch_add(n, std::memory_order_relaxed); }
   void AddSecureComparison(uint64_t n = 1) { cc_.fetch_add(n, std::memory_order_relaxed); }
-  void AddBytesSent(uint64_t n) { bytes_.fetch_add(n, std::memory_order_relaxed); }
-  void AddMessage(uint64_t n = 1) { messages_.fetch_add(n, std::memory_order_relaxed); }
   // Checkpoint write/restore accounting (pivot/checkpoint.h): one call
   // per snapshot, carrying the serialize+store / load+restore time, so
   // resume overhead shows up next to the cost-model counters.
@@ -66,8 +65,6 @@ class OpCounters {
   uint64_t threshold_decryptions() const { return cd_.load(std::memory_order_relaxed); }
   uint64_t secure_ops() const { return cs_.load(std::memory_order_relaxed); }
   uint64_t secure_comparisons() const { return cc_.load(std::memory_order_relaxed); }
-  uint64_t bytes_sent() const { return bytes_.load(std::memory_order_relaxed); }
-  uint64_t messages() const { return messages_.load(std::memory_order_relaxed); }
   uint64_t checkpoint_writes() const {
     return ckpt_writes_.load(std::memory_order_relaxed);
   }
@@ -106,8 +103,6 @@ class OpCounters {
   std::atomic<uint64_t> cd_{0};
   std::atomic<uint64_t> cs_{0};
   std::atomic<uint64_t> cc_{0};
-  std::atomic<uint64_t> bytes_{0};
-  std::atomic<uint64_t> messages_{0};
   std::atomic<uint64_t> ckpt_writes_{0};
   std::atomic<uint64_t> ckpt_write_us_{0};
   std::atomic<uint64_t> ckpt_restores_{0};
@@ -123,7 +118,7 @@ class OpCounters {
 // Immutable snapshot of the global counters; `Delta` computes the counts
 // accumulated between two snapshots.
 struct OpSnapshot {
-  uint64_t ce = 0, cd = 0, cs = 0, cc = 0, bytes = 0, messages = 0;
+  uint64_t ce = 0, cd = 0, cs = 0, cc = 0;
   uint64_t ckpt_writes = 0, ckpt_write_us = 0;
   uint64_t ckpt_restores = 0, ckpt_restore_us = 0;
   uint64_t pool_tasks = 0, batch_calls = 0;

@@ -20,7 +20,7 @@ u128 SharedUniformBits(Preprocessing& prep, int bits) {
 
 Result<u128> SampleLaplaceShared(MpcEngine& eng, Preprocessing& prep,
                                  double mu, double scale) {
-  const int f = eng.config().frac_bits;
+  const int f = kFracBits;
 
   // |U| uniform in [0, 1/2) from f-1 secret bits; 1 - 2|U| in (2^-f, 1].
   const u128 ua = SharedUniformBits(prep, f - 1);
@@ -50,7 +50,7 @@ Result<u128> ExponentialMechanismIndex(MpcEngine& eng, Preprocessing& prep,
                                        double epsilon, double sensitivity) {
   PIVOT_CHECK_MSG(!score_shares.empty(), "no scores to select from");
   PIVOT_CHECK_MSG(sensitivity > 0, "sensitivity must be positive");
-  const int f = eng.config().frac_bits;
+  const int f = kFracBits;
   const size_t r_count = score_shares.size();
 
   // 1. Scaled scores eps·score / (2·sensitivity).

@@ -14,7 +14,7 @@ namespace pivot {
 // Algorithm 5: returns a share of X ~ Laplace(mu, scale) via inverse
 // transform sampling on a secret uniform draw:
 //   X = mu - scale · sgn(U) · ln(1 - 2|U|),  U uniform in (-1/2, 1/2).
-// Output is fixed-point at the engine's frac_bits.
+// Output is fixed-point at kFracBits (common/fixed_point.h).
 Result<u128> SampleLaplaceShared(MpcEngine& eng, Preprocessing& prep,
                                  double mu, double scale);
 

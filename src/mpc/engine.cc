@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fixed_point.h"
 #include "common/op_counters.h"
 #include "net/codec.h"
 
@@ -19,18 +20,20 @@ constexpr u128 kRecipInit = 3128781047ULL;
 constexpr int kNormBits = 56;
 // exp(x) ~ (1 + x/2^l)^(2^l).
 constexpr int kExpLimitLog = 10;
+// Domain bound of a fixed-point product before truncation: 2(k-1)
+// magnitude bits, capped so the statistical mask still fits in F_p.
+constexpr int kProductBits = std::min(2 * kValueBits, 126 - kStatSec - 1);
+
+static_assert(kFracBits > 0 && kFracBits < 60);
+static_assert(kValueBits + kStatSec + 1 <= 126);
 
 }  // namespace
 
 MpcEngine::MpcEngine(Endpoint* endpoint, Preprocessing* prep,
-                     uint64_t personal_seed, MpcConfig cfg)
+                     uint64_t personal_seed)
     : endpoint_(endpoint),
       prep_(prep),
-      rng_(personal_seed ^ (0x9d3f * (endpoint->id() + 1))),
-      cfg_(cfg) {
-  PIVOT_CHECK(cfg_.frac_bits > 0 && cfg_.frac_bits < 60);
-  PIVOT_CHECK(cfg_.value_bits + cfg_.stat_sec + 1 <= 126);
-}
+      rng_(personal_seed ^ (0x9d3f * (endpoint->id() + 1))) {}
 
 // ---------------------------------------------------------------------------
 // Input / Open
@@ -147,9 +150,8 @@ Result<std::vector<u128>> MpcEngine::MulFixedVec(const std::vector<u128>& a,
                                                  const std::vector<u128>& b) {
   PIVOT_ASSIGN_OR_RETURN(std::vector<u128> prod, MulVec(a, b));
   // Product carries 2f fractional bits and up to 2(k-1) magnitude bits;
-  // truncate back. Bound the product domain by 2*value_bits.
-  const int k_bound = std::min(2 * cfg_.value_bits, 126 - cfg_.stat_sec - 1);
-  return TruncPrVec(prod, cfg_.frac_bits, k_bound);
+  // truncate back.
+  return TruncPrVec(prod, kFracBits, kProductBits);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +162,7 @@ Result<std::vector<u128>> MpcEngine::TruncPrVec(const std::vector<u128>& xs,
                                                 int f, int k_bound) {
   if (xs.empty()) return std::vector<u128>{};
   PIVOT_CHECK(f > 0 && f < k_bound);
-  const int kappa = std::min(cfg_.stat_sec, 125 - k_bound);
+  const int kappa = std::min(kStatSec, 125 - k_bound);
   PIVOT_CHECK_MSG(kappa >= 20, "k_bound too large for statistical masking");
   const size_t n = xs.size();
   OpCounters::Global().AddSecureOp(n);
@@ -199,7 +201,7 @@ Result<std::vector<u128>> MpcEngine::TruncExactVec(const std::vector<u128>& xs,
                                                    int f, int k_bound) {
   if (xs.empty()) return std::vector<u128>{};
   PIVOT_CHECK(f > 0 && f < k_bound && f <= 63);
-  const int kappa = std::min(cfg_.stat_sec, 125 - k_bound);
+  const int kappa = std::min(kStatSec, 125 - k_bound);
   PIVOT_CHECK_MSG(kappa >= 20, "k_bound too large for statistical masking");
   const size_t n = xs.size();
   OpCounters::Global().AddSecureOp(n);
@@ -346,7 +348,7 @@ Result<std::vector<u128>> MpcEngine::OneHot(u128 index, size_t size) {
 Result<std::vector<std::vector<u128>>> MpcEngine::BitDecVec(
     const std::vector<u128>& xs, int bits) {
   PIVOT_CHECK(bits > 0 && bits <= 63);
-  const int kappa = std::min(cfg_.stat_sec, 125 - bits);
+  const int kappa = std::min(kStatSec, 125 - bits);
   const size_t n = xs.size();
   if (n == 0) return std::vector<std::vector<u128>>{};
   OpCounters::Global().AddSecureOp(n);
@@ -394,7 +396,7 @@ Result<std::vector<std::vector<u128>>> MpcEngine::BitDecVec(
 
 Result<MpcEngine::Normalized> MpcEngine::Normalize(const std::vector<u128>& xs) {
   const size_t n = xs.size();
-  const int f = cfg_.frac_bits;
+  const int f = kFracBits;
 
   // 1. Bits of x (as a raw field integer < 2^kNormBits).
   PIVOT_ASSIGN_OR_RETURN(std::vector<std::vector<u128>> bits,
@@ -436,7 +438,7 @@ Result<MpcEngine::Normalized> MpcEngine::Normalize(const std::vector<u128>& xs) 
 Result<std::vector<u128>> MpcEngine::ReciprocalVec(const std::vector<u128>& xs) {
   const size_t n = xs.size();
   if (n == 0) return std::vector<u128>{};
-  const int f = cfg_.frac_bits;
+  const int f = kFracBits;
 
   PIVOT_ASSIGN_OR_RETURN(Normalized norm, Normalize(xs));
   const std::vector<u128>& x2 = norm.x2;
@@ -471,7 +473,7 @@ Result<std::vector<u128>> MpcEngine::ReciprocalVec(const std::vector<u128>& xs) 
 Result<std::vector<u128>> MpcEngine::LogFixedVec(const std::vector<u128>& xs) {
   const size_t n = xs.size();
   if (n == 0) return std::vector<u128>{};
-  const int f = cfg_.frac_bits;
+  const int f = kFracBits;
   const int kb = 2 * kRecipFrac + 3;  // product bound for f2-domain values
 
   PIVOT_ASSIGN_OR_RETURN(Normalized norm, Normalize(xs));
@@ -543,8 +545,7 @@ Result<std::vector<u128>> MpcEngine::DivFixedVec(
   PIVOT_CHECK(nums.size() == dens.size());
   PIVOT_ASSIGN_OR_RETURN(std::vector<u128> recip, ReciprocalVec(dens));
   PIVOT_ASSIGN_OR_RETURN(std::vector<u128> prod, MulVec(nums, recip));
-  const int k_bound = std::min(2 * cfg_.value_bits, 126 - cfg_.stat_sec - 1);
-  return TruncPrVec(prod, cfg_.frac_bits, k_bound);
+  return TruncPrVec(prod, kFracBits, kProductBits);
 }
 
 // ---------------------------------------------------------------------------
@@ -554,7 +555,7 @@ Result<std::vector<u128>> MpcEngine::DivFixedVec(
 Result<std::vector<u128>> MpcEngine::ExpFixedVec(const std::vector<u128>& xs) {
   const size_t n = xs.size();
   if (n == 0) return std::vector<u128>{};
-  const int f = cfg_.frac_bits;
+  const int f = kFracBits;
   const int f2 = f + kExpLimitLog;  // internal precision
 
   // t = 1 + x·2^-l, expressed directly at f2 fractional bits (the raw

@@ -11,16 +11,6 @@
 
 namespace pivot {
 
-// Parameters of the fixed-point computation domain inside MPC.
-struct MpcConfig {
-  // Fractional bits of the fixed-point representation.
-  int frac_bits = 16;
-  // Logical values satisfy |x| < 2^(value_bits - 1).
-  int value_bits = 64;
-  // Statistical masking security (bits) for truncation/comparison opens.
-  int stat_sec = 40;
-};
-
 // Semi-honest additive secret sharing engine (the online phase of the
 // paper's SPDZ substrate, Section 2.2).
 //
@@ -31,15 +21,14 @@ struct MpcConfig {
 // returning Result) exchange messages; linear operations are local.
 //
 // Shares are elements of F_p (p = 2^127 - 1, see field.h). Logical values
-// are signed fixed-point integers with cfg.frac_bits fractional bits.
+// are signed fixed-point integers in the format of common/fixed_point.h
+// (kFracBits fractional bits, |x| < 2^(kValueBits-1)).
 class MpcEngine {
  public:
-  MpcEngine(Endpoint* endpoint, Preprocessing* prep, uint64_t personal_seed,
-            MpcConfig cfg = MpcConfig());
+  MpcEngine(Endpoint* endpoint, Preprocessing* prep, uint64_t personal_seed);
 
   int party_id() const { return endpoint_->id(); }
   int num_parties() const { return endpoint_->num_parties(); }
-  const MpcConfig& config() const { return cfg_; }
 
   // ----- Input / constants / output -----------------------------------
 
@@ -76,7 +65,7 @@ class MpcEngine {
   Result<std::vector<u128>> MulVec(const std::vector<u128>& a,
                                    const std::vector<u128>& b);
 
-  // Fixed-point multiply: Mul followed by truncation of frac_bits.
+  // Fixed-point multiply: Mul followed by truncation of kFracBits.
   Result<std::vector<u128>> MulFixedVec(const std::vector<u128>& a,
                                         const std::vector<u128>& b);
 
@@ -178,7 +167,6 @@ class MpcEngine {
   Endpoint* endpoint_;
   Preprocessing* prep_;
   Rng rng_;
-  MpcConfig cfg_;
   uint64_t rounds_ = 0;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/op_counters.h"
 #include "net/wire.h"
 
 namespace pivot {
@@ -206,8 +205,6 @@ Status ReliableEndpoint::Send(int to, Bytes msg) {
   // and heartbeats are transport overhead, not protocol communication
   // cost.
   CountSend(payload_size);
-  OpCounters::Global().AddBytesSent(payload_size);
-  OpCounters::Global().AddMessage();
   // Keep the clean frame for retransmission before faults touch the wire
   // copy; the window is bounded, oldest frame evicted first.
   auto& window = resend_[to];

@@ -19,6 +19,9 @@ namespace pivot {
 
 namespace {
 
+// Per-connection handshake deadline (dial and accept side).
+constexpr int kHandshakeTimeoutMs = 5'000;
+
 // Parsed listen/dial target: either a Unix-domain path or an IPv4
 // host:port.
 struct ParsedAddr {
@@ -101,17 +104,17 @@ int64_t SteadyNowMs() {
 // protocol frames the moment its side of the handshake completes, and a
 // buffered read here would swallow those coalesced bytes before the
 // receiver thread (with its own parser) takes over the descriptor.
-Status ReadFrameDeadline(int fd, int timeout_ms, uint64_t max_frame_bytes,
-                         StreamFrame* out) {
-  StreamFrameReader reader(max_frame_bytes);
+Status ReadFrameDeadline(int fd, StreamFrame* out) {
+  StreamFrameReader reader(kMaxStreamFrameBytes);
   std::vector<StreamFrame> frames;
   uint8_t byte = 0;
-  const int64_t deadline = SteadyNowMs() + timeout_ms;
+  const int64_t deadline = SteadyNowMs() + kHandshakeTimeoutMs;
   while (frames.empty()) {
     const int64_t remaining = deadline - SteadyNowMs();
     if (remaining <= 0) {
       return Status::ProtocolError("handshake timed out after " +
-                                   std::to_string(timeout_ms) + " ms");
+                                   std::to_string(kHandshakeTimeoutMs) +
+                                   " ms");
     }
     pollfd pfd{};
     pfd.fd = fd;
@@ -156,11 +159,10 @@ SocketNetwork::SocketNetwork(int party_id, int num_parties,
     : ChannelCarrier(options.net),
       party_id_(party_id),
       num_parties_(num_parties),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      incarnation_(NextIncarnation()) {
   PIVOT_CHECK_MSG(num_parties >= 1, "network needs at least one party");
   PIVOT_CHECK(party_id >= 0 && party_id < num_parties);
-  incarnation_ =
-      options_.incarnation != 0 ? options_.incarnation : NextIncarnation();
   endpoint_ = std::make_unique<ReliableEndpoint>(this, party_id, num_parties);
   links_.reserve(num_parties);
   data_in_.reserve(num_parties);
@@ -421,8 +423,7 @@ Status SocketNetwork::DialPeer(int j) {
   Status st = WriteAllFd(fd, hello_frame.data(), hello_frame.size());
   StreamFrame ack_frame;
   if (st.ok()) {
-    st = ReadFrameDeadline(fd, options_.handshake_timeout_ms,
-                           options_.max_frame_bytes, &ack_frame);
+    st = ReadFrameDeadline(fd, &ack_frame);
   }
   HelloFrame ack;
   if (st.ok()) {
@@ -494,8 +495,7 @@ void SocketNetwork::AcceptLoop() {
 
 void SocketNetwork::HandleInbound(int fd) {
   StreamFrame hello_frame;
-  Status st = ReadFrameDeadline(fd, options_.handshake_timeout_ms,
-                                options_.max_frame_bytes, &hello_frame);
+  Status st = ReadFrameDeadline(fd, &hello_frame);
   if (!st.ok() ||
       hello_frame.type != static_cast<uint8_t>(StreamFrameType::kHello)) {
     ::close(fd);
@@ -660,7 +660,7 @@ void SocketNetwork::WriterLoop(int peer, LinkGen* gen) {
 }
 
 void SocketNetwork::ReceiverLoop(int peer, LinkGen* gen) {
-  StreamFrameReader reader(options_.max_frame_bytes);
+  StreamFrameReader reader(kMaxStreamFrameBytes);
   std::vector<uint8_t> buf(64 * 1024);
   std::vector<StreamFrame> frames;
   std::string reason;

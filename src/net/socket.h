@@ -73,17 +73,9 @@ struct SocketOptions {
   SupervisorConfig supervision;
   // Deadline for Establish() to bring up the full mesh.
   int establish_timeout_ms = 60'000;
-  // Per-connection handshake deadline (dial and accept side).
-  int handshake_timeout_ms = 5'000;
-  // Hard cap on one stream frame; a larger length prefix is rejected
-  // before any payload allocation (corrupt or hostile header).
-  uint64_t max_frame_bytes = uint64_t{1} << 30;
   // Transport version offered in the handshake. Tests override it to
   // exercise version-mismatch rejection; leave at default otherwise.
   uint32_t handshake_version = kTransportVersion;
-  // Instance identity for crash detection; 0 derives a process-unique
-  // value (pid + instance counter).
-  uint64_t incarnation = 0;
   // Invoked once per supervisor pass (roughly every heartbeat interval)
   // from the supervisor thread, while the network is up. The process
   // orchestrator uses this as its liveness export: the party-side hook
@@ -212,7 +204,8 @@ class SocketNetwork : public ChannelCarrier {
   int party_id_;
   int num_parties_;
   SocketOptions options_;
-  uint64_t incarnation_;
+  // Instance identity for crash detection: pid + per-process counter.
+  const uint64_t incarnation_;
   std::unique_ptr<ReliableEndpoint> endpoint_;
   std::unique_ptr<ConnectionSupervisor> supervisor_;
 

@@ -74,6 +74,11 @@ struct StreamFrame {
 
 Bytes EncodeStreamFrame(StreamFrameType type, const Bytes& body);
 
+// Hard cap on one stream frame on a socket connection; a larger length
+// prefix is rejected before any payload allocation (corrupt or hostile
+// header).
+inline constexpr uint64_t kMaxStreamFrameBytes = uint64_t{1} << 30;
+
 // Incremental parser for the byte stream of one connection. Feed it
 // whatever read(2) returned — any split, including one byte at a time —
 // and it appends every completed frame to `out`. A length prefix above

@@ -13,6 +13,9 @@ namespace {
 // codec's payload-length checks, so a corrupted or desynchronized value
 // could otherwise drive huge allocations and per-element encryptions.
 constexpr uint64_t kMaxConversionBatch = uint64_t{1} << 20;
+// Seed of the simulated offline phase (see mpc/preprocessing.h); every
+// party derives the same dealer stream from it.
+constexpr uint64_t kPrepSeed = 0xC0FFEE;
 }  // namespace
 
 Status EncodeBatchHeader(uint64_t batch, ByteWriter& w) {
@@ -58,9 +61,9 @@ PartyContext::PartyContext(int party_id, int super_client_id,
       pk_, DeriveStreamSeed(params.run_seed ^ 0x454E4352u /* "ENCR" */,
                             static_cast<uint64_t>(party_id)));
   prep_ = std::make_unique<Preprocessing>(party_id, endpoint_->num_parties(),
-                                          params.prep_seed);
+                                          kPrepSeed);
   engine_ = std::make_unique<MpcEngine>(endpoint_, prep_.get(),
-                                        params.run_seed ^ 0xABCD, params.mpc);
+                                        params.run_seed ^ 0xABCD);
 
   // Candidate thresholds and left-branch indicator vectors for every local
   // feature, fixed once from the full columns (Section 4.1: v_l / v_r).

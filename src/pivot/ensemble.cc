@@ -9,10 +9,13 @@ namespace pivot {
 
 namespace {
 
+// Seed of the public random-forest resampling.
+constexpr uint64_t kBootstrapSeed = 99;
+
 // Public bootstrap multiplicities for tree `w` (identical on every party:
 // the resample pattern is public, the data is not).
-std::vector<int> BootstrapWeights(int n, uint64_t seed, int w) {
-  Rng rng(seed + 1000003ULL * (w + 1));
+std::vector<int> BootstrapWeights(int n, int w) {
+  Rng rng(kBootstrapSeed + 1000003ULL * (w + 1));
   std::vector<int> counts(n, 0);
   for (int i = 0; i < n; ++i) ++counts[rng.NextBelow(n)];
   return counts;
@@ -28,7 +31,7 @@ Result<std::vector<u128>> ScaleShares(MpcEngine& eng,
   for (size_t i = 0; i < xs.size(); ++i) {
     scaled[i] = MpcEngine::MulPub(xs[i], fix);
   }
-  return eng.TruncPrVec(scaled, eng.config().frac_bits, 70);
+  return eng.TruncPrVec(scaled, kFracBits, 70);
 }
 
 // One GBDT round: residual shares -> encrypted labels -> tree; returns the
@@ -87,10 +90,7 @@ Result<PivotEnsemble> TrainPivotForest(PartyContext& ctx,
   for (int w = 0; w < options.num_trees; ++w) {
     TrainTreeOptions tree_opts;
     tree_opts.protocol = options.protocol;
-    if (options.bootstrap) {
-      tree_opts.sample_weights =
-          BootstrapWeights(n, options.bootstrap_seed, w);
-    }
+    tree_opts.sample_weights = BootstrapWeights(n, w);
     PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, tree_opts));
     model.forests[0].push_back(std::move(tree));
   }

@@ -13,12 +13,11 @@ struct EnsembleOptions {
   Protocol protocol = Protocol::kBasic;
   int num_trees = 4;           // the paper's W (GBDT: rounds per class)
   double learning_rate = 0.3;  // GBDT shrinkage
-  bool bootstrap = true;       // RF: resample per tree (public resampling)
-  uint64_t bootstrap_seed = 99;
 };
 
-// Random forest (Section 7.1): W independent Pivot trees; bootstrap
-// multiplicities (public) enter through the root mask.
+// Random forest (Section 7.1): W independent Pivot trees, each on a
+// bootstrap resample; the multiplicities (public) enter through the root
+// mask.
 Result<PivotEnsemble> TrainPivotForest(PartyContext& ctx,
                                        const EnsembleOptions& options);
 

@@ -15,7 +15,7 @@ namespace {
 Result<std::vector<u128>> SecureSigmoid(MpcEngine& eng,
                                         const std::vector<u128>& us) {
   const size_t n = us.size();
-  const int f = eng.config().frac_bits;
+  const int f = kFracBits;
   const i128 bound = FixedFromDouble(8.0);
 
   // Clamp: u' = u + [u > 8]·(8 - u) + [u < -8]·(-8 - u).
@@ -68,7 +68,7 @@ Result<PivotLogRegModel> TrainPivotLogReg(PartyContext& ctx,
         "(negative fixed-point scalars double the carrier width)");
   }
   MpcEngine& eng = ctx.engine();
-  const int f = ctx.params().mpc.frac_bits;
+  const int f = kFracBits;
   const int n = static_cast<int>(ctx.view().features.size());
   const int d_local = static_cast<int>(ctx.view().num_features());
   const int m = ctx.num_parties();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "mpc/engine.h"
 #include "tree/cart.h"
 
 namespace pivot {
@@ -50,8 +49,6 @@ struct PivotParams {
   // enhanced protocol / GBDT, >= 256 for the basic protocol).
   int key_bits = 512;
 
-  MpcConfig mpc;
-
   // Per-call fan-out cap for every batched crypto kernel — encryption,
   // threshold decryption, scalar multiplication and the offline
   // randomness pool (the paper's "-PP" partially-parallelized variants
@@ -59,16 +56,8 @@ struct PivotParams {
   // every value; see DESIGN.md, "Parallelism model".
   int crypto_threads = 1;
 
-  // Seed of the simulated offline phase (see mpc/preprocessing.h).
-  uint64_t prep_seed = 0xC0FFEE;
   // Seed for per-party local randomness (encryption, sharing).
   uint64_t run_seed = 0x5EED;
-
-  // Public offset added to regression labels inside the protocol so the
-  // homomorphic carriers stay small non-negative values (variance gain is
-  // shift-invariant; leaves subtract the offset again). Labels must
-  // satisfy |y| < regression_label_offset - 1.
-  double regression_label_offset = 64.0;
 
   DpParams dp;
 };

@@ -165,7 +165,7 @@ Result<std::vector<u128>> RunEnhancedPredictionBatch(
     const PredictionCache& cache) {
   PIVOT_RETURN_IF_ERROR(CheckRoutedOwners(ctx, tree));
   MpcEngine& eng = ctx.engine();
-  const int k_bound = ctx.params().mpc.value_bits;
+  const int k_bound = kValueBits;
   const size_t batch = rows.size();
   const size_t node_count = tree.nodes.size();
 

@@ -1,17 +1,17 @@
 #include "pivot/secure_gain.h"
 
 #include "common/check.h"
+#include "common/fixed_point.h"
 
 namespace pivot {
 
 Result<SecureGainResult> ComputeSecureGains(
     MpcEngine& eng, const std::vector<std::vector<u128>>& stats,
     const std::vector<u128>& agg, bool regression, int num_classes) {
-  const int f_ = eng.config().frac_bits;
   const int c_ = num_classes;
   const bool regression_ = regression;
     const size_t t_count = stats[0].size();
-    const u128 scale = static_cast<u128>(1) << f_;
+    const u128 scale = static_cast<u128>(1) << kFracBits;
 
     // Reciprocals of all denominators in one batch:
     // [node, n_l(0..T), n_r(0..T)] (+1 ulp epsilon against empty nodes).

@@ -40,14 +40,19 @@ struct Block {
 constexpr uint32_t kCheckpointMagic = 0x5056434B;
 constexpr uint32_t kCheckpointVersion = 3;
 
+// Public offset added to regression labels inside the protocol so the
+// homomorphic carriers stay small non-negative values (variance gain is
+// shift-invariant; leaves subtract the offset again). Labels must
+// satisfy |y| < kRegressionLabelOffset - 1.
+constexpr double kRegressionLabelOffset = 64.0;
+
 class TreeTrainer {
  public:
   TreeTrainer(PartyContext& ctx, const TrainTreeOptions& opts)
       : ctx_(ctx),
         opts_(opts),
         m_(ctx.num_parties()),
-        me_(ctx.id()),
-        f_(ctx.params().mpc.frac_bits) {
+        me_(ctx.id()) {
     regression_ = ctx.params().tree.task == TreeTask::kRegression ||
                   opts.encrypted_labels.has_value();
     c_ = ctx.params().tree.num_classes;
@@ -235,7 +240,7 @@ class TreeTrainer {
             // Shifted labels keep the homomorphic carrier small and
             // non-negative; the variance gain is shift-invariant and the
             // leaf subtracts the offset again.
-            const double shifted = y[t] + ctx_.params().regression_label_offset;
+            const double shifted = y[t] + kRegressionLabelOffset;
             const double v = (k == 0) ? shifted : shifted * shifted;
             betas[t] = FpToBigInt(FpFromSigned(FixedFromDouble(v)));
           } else {
@@ -299,7 +304,7 @@ class TreeTrainer {
     if (regression_) {
       // mean = S / count (S is fixed-point, count an integer; epsilon
       // avoids 0/0 on empty nodes).
-      u128 denom = MpcEngine::MulPub(count, static_cast<u128>(1) << f_);
+      u128 denom = MpcEngine::MulPub(count, static_cast<u128>(1) << kFracBits);
       denom = eng().AddConstField(denom, 1);
       u128 numer = agg[1];
       if (dp()) {
@@ -311,8 +316,7 @@ class TreeTrainer {
       PIVOT_ASSIGN_OR_RETURN(u128 mean, eng().DivFixed(numer, denom));
       if (!enc_label_mode()) {
         // Undo the public label shift applied in ComputeGammas.
-        mean = eng().AddConst(
-            mean, -FixedFromDouble(ctx_.params().regression_label_offset));
+        mean = eng().AddConst(mean, -FixedFromDouble(kRegressionLabelOffset));
       }
       if (opts_.protocol == Protocol::kBasic) {
         PIVOT_ASSIGN_OR_RETURN(u128 opened, eng().Open(mean));
@@ -326,7 +330,7 @@ class TreeTrainer {
     // Classification: majority class = argmax over per-class counts.
     std::vector<u128> counts(agg.begin() + 1, agg.end());
     for (u128& g : counts) {
-      g = MpcEngine::MulPub(g, static_cast<u128>(1) << f_);
+      g = MpcEngine::MulPub(g, static_cast<u128>(1) << kFracBits);
       if (dp()) {
         PIVOT_ASSIGN_OR_RETURN(
             u128 noise, SampleLaplaceShared(eng(), ctx_.prep(), 0.0,
@@ -655,7 +659,7 @@ class TreeTrainer {
     // Secure prune condition: |D| < min_samples_split (with DP noise when
     // enabled).
     if (!prune) {
-      u128 cnt = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << f_);
+      u128 cnt = MpcEngine::MulPub(agg[0], static_cast<u128>(1) << kFracBits);
       if (dp()) {
         PIVOT_ASSIGN_OR_RETURN(
             u128 noise, SampleLaplaceShared(eng(), ctx_.prep(), 0.0,
@@ -663,7 +667,7 @@ class TreeTrainer {
         cnt = FpAdd(cnt, noise);
       }
       const i128 threshold =
-          static_cast<i128>(tree_params().min_samples_split) << f_;
+          static_cast<i128>(tree_params().min_samples_split) << kFracBits;
       PIVOT_ASSIGN_OR_RETURN(
           u128 below, eng().LessThanZero(eng().AddConst(cnt, -threshold), 48));
       PIVOT_ASSIGN_OR_RETURN(u128 opened, eng().Open(below));
@@ -988,7 +992,6 @@ class TreeTrainer {
   const TrainTreeOptions& opts_;
   int m_;
   int me_;
-  int f_;
   int n_ = 0;
   bool regression_ = false;
   int c_ = 2;
@@ -997,23 +1000,23 @@ class TreeTrainer {
   uint64_t epoch_ = 0;
 };
 
-}  // namespace
-
-int MinimumKeyBits([[maybe_unused]] const PivotParams& params,
-                   const TrainTreeOptions& options) {
-  // Plaintext headroom: carried values stay below m^2·b·p^2 (enhanced) or
-  // n·(2^2f·y_max^2 + m·p) (basic); see DESIGN.md §3.
+// Minimum Paillier key size for the given protocol/options. Plaintext
+// headroom: carried values stay below m^2·b·p^2 (enhanced) or
+// n·(2^2f·y_max^2 + m·p) (basic); see DESIGN.md §3.
+int MinimumKeyBits(const TrainTreeOptions& options) {
   if (options.protocol == Protocol::kEnhanced) return 384;
   if (options.encrypted_labels.has_value()) return 320;
   return 192;
 }
 
+}  // namespace
+
 Result<PivotTree> TrainPivotTree(PartyContext& ctx,
                                  const TrainTreeOptions& options) {
-  if (ctx.pk().key_bits() < MinimumKeyBits(ctx.params(), options)) {
+  if (ctx.pk().key_bits() < MinimumKeyBits(options)) {
     return Status::FailedPrecondition(
         "Paillier key too small for this protocol (need >= " +
-        std::to_string(MinimumKeyBits(ctx.params(), options)) + " bits)");
+        std::to_string(MinimumKeyBits(options)) + " bits)");
   }
   TreeTrainer trainer(ctx, options);
   return trainer.Train();

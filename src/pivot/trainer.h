@@ -44,10 +44,6 @@ struct TrainTreeOptions {
 Result<PivotTree> TrainPivotTree(PartyContext& ctx,
                                  const TrainTreeOptions& options);
 
-// Minimum Paillier key size for the given protocol/options (plaintext
-// headroom analysis; see DESIGN.md §3).
-int MinimumKeyBits(const PivotParams& params, const TrainTreeOptions& options);
-
 }  // namespace pivot
 
 #endif  // PIVOT_PIVOT_TRAINER_H_

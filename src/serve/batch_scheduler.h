@@ -71,27 +71,6 @@ struct ServeOptions {
   int follower_timeout_ms = 120000;
 };
 
-// Coalescing policy of the serve loop: decides where the request stream
-// is cut into protocol batches. Pure queue-side logic — owns no protocol
-// state, so it is unit-testable without a network. Only the coordinator
-// (party 0) runs it; followers mirror its cut via the batch header.
-class BatchScheduler {
- public:
-  BatchScheduler(RequestQueue* queue, const ServeOptions& opts)
-      : queue_(queue), opts_(opts) {}
-
-  // Next coalesced batch (empty = stream closed and drained).
-  std::vector<ServeRequest> NextBatch() {
-    const size_t max =
-        opts_.batch_size > 0 ? static_cast<size_t>(opts_.batch_size) : 1;
-    return queue_->PopBatch(max, opts_.max_wait_ms);
-  }
-
- private:
-  RequestQueue* queue_;
-  ServeOptions opts_;
-};
-
 }  // namespace serve
 }  // namespace pivot
 

@@ -46,7 +46,6 @@ Result<ServingStats> ServingSession::Serve(RequestQueue& queue,
   std::vector<double> discard;
   std::vector<double>& sink = predictions != nullptr ? *predictions : discard;
   const bool coordinator = ctx_.id() == 0;
-  BatchScheduler scheduler(&queue, opts_);
   ServingStats stats;
   LatencyRecorder latency;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -57,7 +56,11 @@ Result<ServingStats> ServingSession::Serve(RequestQueue& queue,
     if (coordinator) {
       stats.max_queue_depth = std::max(stats.max_queue_depth,
                                        static_cast<uint64_t>(queue.depth()));
-      batch = scheduler.NextBatch();
+      // The coordinator alone cuts the stream into protocol batches;
+      // followers mirror its cut via the batch header.
+      batch = queue.PopBatch(
+          static_cast<size_t>(std::max(1, opts_.batch_size)),
+          opts_.max_wait_ms);
       announced = batch.size();
       if (ctx_.num_parties() > 1) {
         ByteWriter w;

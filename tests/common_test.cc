@@ -172,20 +172,8 @@ TEST(BytesTest, TruncatedBlobFails) {
 TEST(FixedPointTest, RoundTrip) {
   for (double x : {0.0, 1.0, -1.0, 0.5, -0.25, 123.456, -9999.125}) {
     int64_t enc = FixedFromDouble(x);
-    EXPECT_NEAR(FixedToDouble(enc), x, 1.0 / kDefaultFixedPoint.Scale());
+    EXPECT_NEAR(FixedToDouble(enc), x, std::ldexp(1.0, -kFracBits));
   }
-}
-
-TEST(FixedPointTest, MulRenormalizes) {
-  int64_t a = FixedFromDouble(1.5);
-  int64_t b = FixedFromDouble(2.0);
-  EXPECT_NEAR(FixedToDouble(FixedMul(a, b)), 3.0, 1e-4);
-}
-
-TEST(FixedPointTest, NegativeProducts) {
-  int64_t a = FixedFromDouble(-1.5);
-  int64_t b = FixedFromDouble(2.5);
-  EXPECT_NEAR(FixedToDouble(FixedMul(a, b)), -3.75, 1e-4);
 }
 
 TEST(OpCountersTest, SnapshotDelta) {
@@ -195,15 +183,11 @@ TEST(OpCountersTest, SnapshotDelta) {
   OpCounters::Global().AddThresholdDecryption();
   OpCounters::Global().AddSecureOp(10);
   OpCounters::Global().AddSecureComparison(2);
-  OpCounters::Global().AddBytesSent(100);
-  OpCounters::Global().AddMessage();
   OpSnapshot delta = OpSnapshot::Take().Delta(before);
   EXPECT_EQ(delta.ce, 3u);
   EXPECT_EQ(delta.cd, 1u);
   EXPECT_EQ(delta.cs, 10u);
   EXPECT_EQ(delta.cc, 2u);
-  EXPECT_EQ(delta.bytes, 100u);
-  EXPECT_EQ(delta.messages, 1u);
   EXPECT_NE(delta.ToString().find("Ce=3"), std::string::npos);
 }
 

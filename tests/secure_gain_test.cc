@@ -98,7 +98,7 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
   Status st = RunParties(net, [&](int id, Endpoint& ep) -> Status {
     Preprocessing prep(id, m, seed * 3 + 1);
     MpcEngine eng(&ep, &prep, seed + id);
-    [[maybe_unused]] const int f = eng.config().frac_bits;
+    [[maybe_unused]] const int f = kFracBits;
 
     // Share the statistics (counts at integer scale, sums fixed-point —
     // matching the trainer's conventions).

@@ -1,7 +1,7 @@
 // Serving subsystem tests.
 //
 // Three layers:
-//   1. RequestQueue / BatchScheduler unit tests — coalescing, linger,
+//   1. RequestQueue unit tests — coalescing, linger,
 //      close semantics, and the follower-side PopExactly contract.
 //   2. Bit-exactness — every prediction entry point (ServingSession at
 //      every batch size, PredictPivotMany, and PredictPivot, which is a
@@ -183,15 +183,28 @@ std::vector<double> ServePredict(const std::vector<PivotTree>& views,
 // ---------------------------------------------------------------------------
 
 TEST(RequestQueueTest, PopBatchCoalescesUpToMax) {
-  serve::RequestQueue q;
-  for (int i = 0; i < 5; ++i) q.Push({double(i)});
-  auto batch = q.PopBatch(/*max=*/3, /*linger_ms=*/0);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].features[0], 0.0);
-  EXPECT_EQ(batch[2].features[0], 2.0);
-  batch = q.PopBatch(3, 0);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(q.depth(), 0u);
+  // (requests pushed, max, expected batch sizes); the second row is the
+  // serve loop's cut at batch_size 4.
+  struct Case {
+    int pushed;
+    size_t max;
+    std::vector<size_t> sizes;
+  };
+  for (const Case& c : {Case{5, 3, {3, 2}}, Case{10, 4, {4, 4, 2}}}) {
+    serve::RequestQueue q;
+    for (int i = 0; i < c.pushed; ++i) q.Push({double(i)});
+    size_t first = 0;
+    for (size_t want : c.sizes) {
+      auto batch = q.PopBatch(c.max, /*linger_ms=*/0);
+      ASSERT_EQ(batch.size(), want) << "max=" << c.max;
+      EXPECT_EQ(batch.front().features[0], double(first));
+      EXPECT_EQ(batch.back().features[0], double(first + want - 1));
+      first += want;
+    }
+    EXPECT_EQ(q.depth(), 0u);
+    q.Close();
+    EXPECT_TRUE(q.PopBatch(c.max, 0).empty());
+  }
 }
 
 TEST(RequestQueueTest, RequestIdsAreAssignedInOrder) {
@@ -258,20 +271,6 @@ TEST(RequestQueueTest, PopExactlyFailsFastOnShortClosedQueue) {
   q.Close();
   Result<std::vector<serve::ServeRequest>> got = q.PopExactly(3, 10'000);
   EXPECT_FALSE(got.ok());
-}
-
-TEST(BatchSchedulerTest, NextBatchHonorsBatchSize) {
-  serve::RequestQueue q;
-  for (int i = 0; i < 10; ++i) q.Push({double(i)});
-  serve::ServeOptions opts;
-  opts.batch_size = 4;
-  opts.max_wait_ms = 0;
-  serve::BatchScheduler sched(&q, opts);
-  EXPECT_EQ(sched.NextBatch().size(), 4u);
-  EXPECT_EQ(sched.NextBatch().size(), 4u);
-  EXPECT_EQ(sched.NextBatch().size(), 2u);
-  q.Close();
-  EXPECT_TRUE(sched.NextBatch().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ Rules (see DESIGN.md, "Correctness tooling"):
                     node encoding; a second copy drifts on its own.
                     Tests are not exempt.
 
+  fixed-point-home  frac_bits, value_bits, stat_sec, FixedPointParams or
+                    MpcConfig anywhere but src/common/fixed_point.h. The
+                    fixed-point format (f, k, κ) is one set of protocol
+                    constants (kFracBits, kValueBits, kStatSec) in that
+                    header; a second copy, or a setting that overrides
+                    it, drifts on its own. Tests are not exempt.
+
 Usage:
   tools/pivot_lint.py [ROOT]            lint the whole tree (default: cwd)
   tools/pivot_lint.py ROOT --files F... lint specific files only
@@ -153,6 +160,9 @@ RE_TREE_FIELD = re.compile(
 RE_CODEC_CALL = re.compile(
     r"(?<![A-Za-z0-9_])(?:Encode|Decode)\w*\s*\(|\.(?:Write|Read)\w+\s*\(")
 TREE_CODEC_HOME = "src/pivot/serialize.cc"
+RE_FIXED_POINT_KNOB = re.compile(
+    r"\b(?:frac_bits|value_bits|stat_sec|FixedPointParams|MpcConfig)\b")
+FIXED_POINT_HOME = "src/common/fixed_point.h"
 
 
 class Finding:
@@ -365,6 +375,17 @@ def check_tree_codec_home(rel, lines, findings):
                 "PVT2 node codec (SerializePivotTree)"))
 
 
+def check_fixed_point_home(rel, lines, findings):
+    if rel == FIXED_POINT_HOME:
+        return
+    for i, line in enumerate(lines, 1):
+        if RE_FIXED_POINT_KNOB.search(strip_comment(line)):
+            findings.append(Finding(
+                rel, i, "fixed-point-home",
+                "fixed-point format outside src/common/fixed_point.h; use "
+                "the protocol constants kFracBits/kValueBits/kStatSec"))
+
+
 CHECKS = (
     check_banned_random,
     check_secret_print,
@@ -377,6 +398,7 @@ CHECKS = (
     check_raw_process,
     check_seq_frame_home,
     check_tree_codec_home,
+    check_fixed_point_home,
 )
 
 

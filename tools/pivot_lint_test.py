@@ -566,5 +566,43 @@ class TreeCodecHomeTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
+class FixedPointHomeTest(unittest.TestCase):
+    def test_flags_a_second_format(self):
+        findings = run_lint(
+            {"src/mpc/engine.cc":
+             "struct MpcConfig {\n  int frac_bits = 16;\n};\n",
+             "src/pivot/context.cc": "  int stat_sec = 40;\n",
+             "src/pivot/trainer.cc":
+             "  const int k = ctx.params().mpc.value_bits;\n"})
+        self.assertEqual(rules(findings), ["fixed-point-home"])
+        self.assertEqual(len(findings), 4)
+
+    def test_flags_the_old_struct_anywhere(self):
+        findings = run_lint(
+            {"tools/cli.cc": "FixedPointParams fp;\n",
+             "bench/bench_util.h": "#ifndef PIVOT_BENCH_BENCH_UTIL_H_\n"
+             "#define PIVOT_BENCH_BENCH_UTIL_H_\nMpcConfig cfg;\n#endif\n"})
+        self.assertEqual(rules(findings), ["fixed-point-home"])
+        self.assertEqual(len(findings), 2)
+
+    def test_tests_not_exempt(self):
+        findings = run_lint(
+            {"tests/secure_gain_test.cc":
+             "const int f = eng.config().frac_bits;\n"})
+        self.assertEqual(rules(findings), ["fixed-point-home"])
+
+    def test_allows_the_home_constants_and_comments(self):
+        findings = run_lint(
+            {"src/common/fixed_point.h":
+             "#ifndef PIVOT_COMMON_FIXED_POINT_H_\n"
+             "#define PIVOT_COMMON_FIXED_POINT_H_\n"
+             "struct FixedPointParams { int frac_bits = 16; };\n#endif\n",
+             "src/mpc/engine.cc":
+             "  return TruncPrVec(prod, kFracBits, kProductBits);\n"
+             "  // truncate frac_bits after the product\n"
+             "  const int max_frac_bits_seen = 0;\n"})
+        self.assertEqual(findings, [])
+
+
 if __name__ == "__main__":
     unittest.main()
