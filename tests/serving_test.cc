@@ -183,28 +183,33 @@ std::vector<double> ServePredict(const std::vector<PivotTree>& views,
 // ---------------------------------------------------------------------------
 
 TEST(RequestQueueTest, PopBatchCoalescesUpToMax) {
-  // (requests pushed, max, expected batch sizes); the second row is the
-  // serve loop's cut at batch_size 4.
-  struct Case {
-    int pushed;
-    size_t max;
-    std::vector<size_t> sizes;
+  serve::RequestQueue q;
+  for (int i = 0; i < 5; ++i) q.Push({double(i)});
+  auto batch = q.PopBatch(/*max=*/3, /*linger_ms=*/0);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0].features[0], 0.0);
+  EXPECT_EQ(batch[2].features[0], 2.0);
+  batch = q.PopBatch(3, 0);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+// The serve loop's cut: ServingSession::Serve pops with the session's
+// batch_size and max_wait_ms.
+TEST(BatchSchedulerTest, NextBatchHonorsBatchSize) {
+  serve::RequestQueue q;
+  for (int i = 0; i < 10; ++i) q.Push({double(i)});
+  serve::ServeOptions opts;
+  opts.batch_size = 4;
+  opts.max_wait_ms = 0;
+  auto next = [&] {
+    return q.PopBatch(static_cast<size_t>(opts.batch_size), opts.max_wait_ms);
   };
-  for (const Case& c : {Case{5, 3, {3, 2}}, Case{10, 4, {4, 4, 2}}}) {
-    serve::RequestQueue q;
-    for (int i = 0; i < c.pushed; ++i) q.Push({double(i)});
-    size_t first = 0;
-    for (size_t want : c.sizes) {
-      auto batch = q.PopBatch(c.max, /*linger_ms=*/0);
-      ASSERT_EQ(batch.size(), want) << "max=" << c.max;
-      EXPECT_EQ(batch.front().features[0], double(first));
-      EXPECT_EQ(batch.back().features[0], double(first + want - 1));
-      first += want;
-    }
-    EXPECT_EQ(q.depth(), 0u);
-    q.Close();
-    EXPECT_TRUE(q.PopBatch(c.max, 0).empty());
-  }
+  EXPECT_EQ(next().size(), 4u);
+  EXPECT_EQ(next().size(), 4u);
+  EXPECT_EQ(next().size(), 2u);
+  q.Close();
+  EXPECT_TRUE(next().empty());
 }
 
 TEST(RequestQueueTest, RequestIdsAreAssignedInOrder) {
