@@ -79,7 +79,6 @@ Result<double> TimeInMemory(const Dataset& data, const OrchBenchParams& p,
   cfg.params.tree.max_depth = p.depth;
   cfg.params.tree.max_splits = 8;
   cfg.params.key_bits = p.key_bits;
-  cfg.params.crypto_threads = 1;
 
   WallTimer timer;
   Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
@@ -256,6 +255,11 @@ int Main(int argc, char** argv) {
   meta.Set("key_bits", p.key_bits);
   meta.Set("reps", p.reps);
   meta.Set("parties", 3);
+  // crypto_threads is left at auto on both sides: the in-memory run uses
+  // every available CPU per party, each party process its share.
+  orch::FederationSpec spec;
+  spec.parties = 3;
+  meta.Set("party_process_crypto_threads", orch::PartyCryptoThreads(spec));
   meta.Set("orchestrated_over_in_memory", overhead);
   WriteBenchJson("bench_orchestrator", std::move(meta), rows);
 

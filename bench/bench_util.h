@@ -20,6 +20,7 @@
 #include "baselines/npd_dt.h"
 #include "baselines/spdz_dt.h"
 #include "common/op_counters.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "data/synthetic.h"
 #include "pivot/ensemble.h"
@@ -124,6 +125,8 @@ inline bool WriteBenchJson(const std::string& name, JsonObject meta,
   meta.Set("bench", name);
   meta.Set("hardware_threads",
            static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  // What crypto_threads = 0 (auto) resolves to in this process.
+  meta.Set("available_cpus", AvailableCpus());
   std::string body = meta.Render("");
   body.erase(body.rfind('\n'));  // drop the closing "\n}" ...
   body += ",\n  \"rows\": [";
@@ -233,8 +236,12 @@ struct TrainResult {
 inline Result<TrainResult> TimeTreeTraining(const Dataset& data,
                                             FederationConfig cfg,
                                             System system) {
+  // The paper's "-PP" variants spread threshold decryption over 6 cores;
+  // its plain variants are sequential unless the caller set a count.
   if (system == System::kPivotBasicPP || system == System::kPivotEnhancedPP) {
     cfg.params.crypto_threads = 6;
+  } else if (cfg.params.crypto_threads == 0) {
+    cfg.params.crypto_threads = 1;
   }
   if (system == System::kPivotEnhanced || system == System::kPivotEnhancedPP) {
     cfg.params.key_bits = std::max(cfg.params.key_bits, 384);

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -27,6 +29,25 @@ Status RunTask(const std::function<Status()>& fn) {
 }
 
 }  // namespace
+
+int AvailableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int cpus = CPU_COUNT(&mask);
+    if (cpus > 0) return cpus;
+  }
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+Status ValidateCryptoThreads(int threads) {
+  if (threads < 0 || threads > kMaxCryptoThreads) {
+    return Status::InvalidArgument(
+        "crypto_threads must be in [0, " + std::to_string(kMaxCryptoThreads) +
+        "] (0 = one per available CPU), got " + std::to_string(threads));
+  }
+  return Status::Ok();
+}
 
 ThreadPool& ThreadPool::Global() {
   // Joined by the static destructor at process exit; every protocol run
@@ -149,19 +170,23 @@ Status ThreadPool::ParallelFor(size_t count, int threads,
     }
     return Status::Ok();
   }
-  Resize(static_cast<int>(fan_out));
-  WaitGroup wg(*this);
-  for (size_t c = 0; c < fan_out; ++c) {
-    const size_t begin = count * c / fan_out;
+  const auto run_chunk = [count, fan_out, &fn](size_t c) -> Status {
     const size_t end = count * (c + 1) / fan_out;
-    wg.Submit([begin, end, &fn]() -> Status {
-      for (size_t i = begin; i < end; ++i) {
-        PIVOT_RETURN_IF_ERROR(fn(i));
-      }
-      return Status::Ok();
-    });
+    for (size_t i = count * c / fan_out; i < end; ++i) {
+      PIVOT_RETURN_IF_ERROR(fn(i));
+    }
+    return Status::Ok();
+  };
+  Resize(static_cast<int>(fan_out) - 1);
+  WaitGroup wg(*this);
+  for (size_t c = 1; c < fan_out; ++c) {
+    wg.Submit([&run_chunk, c] { return run_chunk(c); });
   }
-  return wg.Wait();
+  // Chunk 0 runs here instead of leaving the caller idle in Wait; its
+  // error outranks every pool chunk's.
+  const Status first = RunTask([&run_chunk] { return run_chunk(0); });
+  Status rest = wg.Wait();
+  return first.ok() ? rest : first;
 }
 
 }  // namespace pivot

@@ -14,6 +14,20 @@
 
 namespace pivot {
 
+// Largest accepted crypto_threads setting. ParallelFor grows the shared
+// pool toward min(threads, count) - 1 workers, so an unchecked setting
+// would become that many OS threads.
+constexpr int kMaxCryptoThreads = 256;
+
+// Number of CPUs this process may run on: the size of its affinity mask
+// (sched_getaffinity), so taskset and CI runner limits are respected,
+// falling back to std::thread::hardware_concurrency(). Never below 1.
+// This is what crypto_threads = 0 ("auto") resolves to.
+int AvailableCpus();
+
+// Accepts a crypto_threads setting in [0, kMaxCryptoThreads] (0 = auto).
+[[nodiscard]] Status ValidateCryptoThreads(int threads);
+
 // Shared task pool for compute parallelism (batched Paillier kernels,
 // threshold-decryption fan-out, offline randomness precomputation).
 //
@@ -86,9 +100,11 @@ class ThreadPool {
   // Runs fn(i) for every i in [0, count), fanning out across at most
   // `threads` contiguous chunks. The chunk partition is a pure function of
   // (count, threads) — NOT of the pool size — so a given (count, threads)
-  // pair always produces the same per-index work assignment. Returns the
-  // first non-OK Status (by chunk order); remaining chunks still run.
-  // threads <= 1 or a small count runs inline on the caller.
+  // pair always produces the same per-index work assignment. The caller
+  // runs chunk 0 itself and the pool the other fan_out - 1, so the pool
+  // grows to at most fan_out - 1 workers. Returns the first non-OK Status
+  // (by chunk order); remaining chunks still run. threads <= 1 or a small
+  // count runs inline on the caller.
   [[nodiscard]] Status ParallelFor(size_t count, int threads,
                                    const std::function<Status(size_t)>& fn);
 

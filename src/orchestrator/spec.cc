@@ -1,7 +1,10 @@
 #include "orchestrator/spec.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+
+#include "common/thread_pool.h"
 
 namespace pivot {
 namespace orch {
@@ -80,6 +83,9 @@ Status ValidateFederationSpec(const FederationSpec& spec) {
   if (spec.protocol != "basic" && spec.protocol != "enhanced") {
     return Status::InvalidArgument("spec: protocol must be basic or "
                                    "enhanced, got '" + spec.protocol + "'");
+  }
+  if (Status st = ValidateCryptoThreads(spec.crypto_threads); !st.ok()) {
+    return Status::InvalidArgument("spec: " + st.message());
   }
   if (spec.max_restarts < 0 || spec.party_max_restarts < 0) {
     return Status::InvalidArgument("spec: restart budgets must be >= 0");
@@ -212,6 +218,11 @@ Result<FederationSpec> LoadFederationSpec(const std::string& path) {
   return spec;
 }
 
+int PartyCryptoThreads(const FederationSpec& spec) {
+  if (spec.crypto_threads > 0) return spec.crypto_threads;
+  return std::max(1, AvailableCpus() / std::max(1, spec.parties));
+}
+
 std::vector<std::string> PartyCommand(const FederationSpec& spec, int party,
                                       const std::string& cli, int control_fd,
                                       int go_fd) {
@@ -231,7 +242,7 @@ std::vector<std::string> PartyCommand(const FederationSpec& spec, int party,
       "--depth", std::to_string(spec.depth),
       "--splits", std::to_string(spec.splits),
       "--protocol", spec.protocol,
-      "--crypto-threads", std::to_string(spec.crypto_threads),
+      "--crypto-threads", std::to_string(PartyCryptoThreads(spec)),
       "--max-restarts", std::to_string(spec.party_max_restarts),
   };
   if (!spec.checkpoint_dir.empty()) {

@@ -34,7 +34,7 @@ namespace orch {
 //   classes = 0              # 0 = derive from the data
 //   protocol = basic         # or enhanced
 //   key_bits = 0             # 0 = protocol default
-//   crypto_threads = 1
+//   crypto_threads = 0       # per-party crypto fan-out; 0 = auto
 //   super = 0                # the label-holding super client
 //   party_max_restarts = 5   # in-process attempt budget per party
 //   max_restarts = 3         # process-level respawns per party
@@ -63,7 +63,9 @@ struct FederationSpec {
   int splits = 8;
   std::string protocol = "basic";
   int key_bits = 0;
-  int crypto_threads = 1;
+  // 0 = auto: the orchestrator's CPUs split evenly over the party
+  // processes it spawns (PartyCryptoThreads); at most kMaxCryptoThreads.
+  int crypto_threads = 0;
   int party_max_restarts = 5;
 
   // Process supervision budgets (DESIGN.md, "Orchestration model").
@@ -89,6 +91,11 @@ Result<FederationSpec> LoadFederationSpec(const std::string& path);
 // client, budgets non-negative). Parse runs this; the orchestrator runs
 // it again after filling default addresses.
 [[nodiscard]] Status ValidateFederationSpec(const FederationSpec& spec);
+
+// The --crypto-threads value every party process is started with: the
+// spec's crypto_threads, or for 0 (auto) max(1, AvailableCpus() /
+// parties), since the parties share this host's CPUs.
+int PartyCryptoThreads(const FederationSpec& spec);
 
 // Renders party `i`'s full command line (argv[0] = `cli`). `control_fd`
 // and `go_fd` are the child's inherited control-protocol descriptors

@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/fixed_point.h"
+#include "common/thread_pool.h"
 #include "net/codec.h"
 #include "tree/splits.h"
 
@@ -53,8 +54,12 @@ PartyContext::PartyContext(int party_id, int super_client_id,
       view_(std::move(view)),
       labels_(std::move(labels)),
       params_(params),
+      crypto_threads_(params.crypto_threads > 0 ? params.crypto_threads
+                                                : AvailableCpus()),
       rng_(params.run_seed * 1000003 + party_id) {
   PIVOT_CHECK(endpoint_->id() == party_id);
+  PIVOT_CHECK_MSG(ValidateCryptoThreads(params.crypto_threads).ok(),
+                  "crypto_threads out of range");
   // The pool's stream is independent of rng_ (distinct domain constant);
   // its cursor is checkpointed via RandomnessState.
   enc_pool_ = std::make_unique<EncRandomnessPool>(

@@ -1,7 +1,6 @@
 #ifndef PIVOT_PIVOT_CONTEXT_H_
 #define PIVOT_PIVOT_CONTEXT_H_
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -58,8 +57,9 @@ class PartyContext {
   Rng& rng() { return rng_; }
 
   // Per-call fan-out cap for the batched crypto kernels (shared pool, see
-  // common/thread_pool.h). Results are bit-identical for every value.
-  int crypto_threads() const { return std::max(1, params_.crypto_threads); }
+  // common/thread_pool.h): params().crypto_threads, or AvailableCpus()
+  // when that is 0 (auto). Results are bit-identical for every value.
+  int crypto_threads() const { return crypto_threads_; }
   // This party's offline encryption-randomness pool (pairs are pure
   // functions of the pool seed, so the cursor below checkpoints them).
   EncRandomnessPool& enc_pool() { return *enc_pool_; }
@@ -159,6 +159,7 @@ class PartyContext {
   VerticalView view_;
   std::vector<double> labels_;
   PivotParams params_;
+  int crypto_threads_;
   Rng rng_;
   std::unique_ptr<EncRandomnessPool> enc_pool_;
   std::unique_ptr<Preprocessing> prep_;

@@ -50,11 +50,13 @@ struct PivotParams {
   int key_bits = 512;
 
   // Per-call fan-out cap for every batched crypto kernel — encryption,
-  // threshold decryption, scalar multiplication and the offline
-  // randomness pool (the paper's "-PP" partially-parallelized variants
-  // use 6 cores; 1 = sequential). Training results are bit-identical for
-  // every value; see DESIGN.md, "Parallelism model".
-  int crypto_threads = 1;
+  // threshold decryption, scalar multiplication, split statistics and the
+  // offline randomness pool (the paper's "-PP" partially-parallelized
+  // variants use 6 cores). 0 = auto: one per CPU the process may run on
+  // (AvailableCpus); 1 = sequential; at most kMaxCryptoThreads. Training
+  // results are bit-identical for every value; see DESIGN.md,
+  // "Parallelism model".
+  int crypto_threads = 0;
 
   // Seed for per-party local randomness (encryption, sharing).
   uint64_t run_seed = 0x5EED;

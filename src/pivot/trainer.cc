@@ -356,55 +356,53 @@ class TreeTrainer {
   Result<std::vector<std::vector<u128>>> ComputeSplitStatShares(
       const NodeState& node, const std::vector<Block>& blocks,
       const std::vector<std::vector<Ciphertext>>& gammas, int per_split) {
+    // This party's stat ciphertexts for its own blocks, flattened
+    // split-major: [split][slot]. They are computed once, before the
+    // conversion loop, so no party's local work waits on the conversions
+    // of the clients before it.
+    std::vector<std::pair<int, int>> tasks;  // (feature, candidate)
+    for (const Block& b : blocks) {
+      if (b.client != me_) continue;
+      for (int s = 0; s < b.count; ++s) tasks.emplace_back(b.feature, s);
+    }
+    std::vector<Ciphertext> mine(tasks.size() * per_split);
+    if (!tasks.empty()) {
+      // [alpha] and every [gamma_k] are dot-multiplied once per candidate
+      // split: converting them into the Montgomery domain once amortizes
+      // the dominant per-term conversion across all splits. Each
+      // (split, vector, side) triple writes its own output slot, so the
+      // triples fan out across crypto_threads without affecting the
+      // result (DotIndicator draws no randomness).
+      std::vector<PreparedCiphertexts> prep;
+      prep.reserve(1 + gammas.size());
+      prep.emplace_back(ctx_.pk(), node.alpha);
+      for (const auto& gamma : gammas) prep.emplace_back(ctx_.pk(), gamma);
+      PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
+          mine.size(), ctx_.crypto_threads(), [&](size_t idx) -> Status {
+            const auto& [feature, split] = tasks[idx / per_split];
+            const size_t slot = idx % per_split;
+            mine[idx] = prep[slot / 2].DotIndicator(
+                ctx_.LeftIndicator(feature, split), slot % 2 == 1);
+            return Status::Ok();
+          }));
+    }
+
+    const std::vector<Ciphertext> none;  // what a non-holder converts
     std::vector<std::vector<u128>> stats;  // [stat slot][flat split]
     stats.assign(per_split, {});
-
     for (int i = 0; i < m_; ++i) {
-      // Client i's stat ciphertexts for its blocks, flattened
-      // split-major: [split][slot].
-      int my_split_count = 0;
-      std::vector<std::pair<int, int>> tasks;  // (feature, candidate)
+      int split_count = 0;
       for (const Block& b : blocks) {
-        if (b.client != i) continue;
-        my_split_count += b.count;
-        if (me_ != i) continue;
-        for (int s = 0; s < b.count; ++s) tasks.emplace_back(b.feature, s);
+        if (b.client == i) split_count += b.count;
       }
-      if (my_split_count == 0) continue;
-      std::vector<Ciphertext> mine;
-      if (me_ == i) {
-        // [alpha] and every [gamma_k] are dot-multiplied once per candidate
-        // split: converting them into the Montgomery domain once amortizes
-        // the dominant per-term conversion across all splits, and each
-        // split writes its own output slots, so the splits fan out across
-        // crypto_threads without affecting the result.
-        PreparedCiphertexts alpha_prep(ctx_.pk(), node.alpha);
-        std::vector<PreparedCiphertexts> gamma_prep;
-        gamma_prep.reserve(gammas.size());
-        for (const auto& gamma : gammas) {
-          gamma_prep.emplace_back(ctx_.pk(), gamma);
-        }
-        mine.resize(tasks.size() * per_split);
-        PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
-            tasks.size(), ctx_.crypto_threads(), [&](size_t idx) -> Status {
-              const std::vector<uint8_t>& left =
-                  ctx_.LeftIndicator(tasks[idx].first, tasks[idx].second);
-              size_t out = idx * per_split;
-              mine[out++] = alpha_prep.DotIndicator(left, false);
-              mine[out++] = alpha_prep.DotIndicator(left, true);
-              for (const PreparedCiphertexts& g : gamma_prep) {
-                mine[out++] = g.DotIndicator(left, false);
-                mine[out++] = g.DotIndicator(left, true);
-              }
-              return Status::Ok();
-            }));
-      }
-      PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                             ctx_.CiphertextsToShares(mine, i));
-      if (shares.size() != static_cast<size_t>(my_split_count * per_split)) {
+      if (split_count == 0) continue;
+      PIVOT_ASSIGN_OR_RETURN(
+          std::vector<u128> shares,
+          ctx_.CiphertextsToShares(me_ == i ? mine : none, i));
+      if (shares.size() != static_cast<size_t>(split_count * per_split)) {
         return Status::ProtocolError("split statistic count mismatch");
       }
-      for (int s = 0; s < my_split_count; ++s) {
+      for (int s = 0; s < split_count; ++s) {
         for (int slot = 0; slot < per_split; ++slot) {
           stats[slot].push_back(shares[s * per_split + slot]);
         }

@@ -1,10 +1,12 @@
 #include "psi/psi.h"
 
 #include <map>
+#include <utility>
 
 #include "bigint/bigint.h"
 #include "common/check.h"
 #include "common/sha256.h"
+#include "common/thread_pool.h"
 #include "net/codec.h"
 
 namespace pivot {
@@ -82,12 +84,15 @@ Result<std::vector<uint64_t>> IntersectSampleIds(
 
   if (m == 1) return my_ids;
 
-  // Blind my own ids.
-  std::vector<BigInt> blinded;
-  blinded.reserve(my_ids.size());
-  for (uint64_t id : my_ids) {
-    blinded.push_back(g.ctx.ModExp(HashToGroup(id), key));
-  }
+  // Blind my own ids. Every exponentiation writes its own slot, so both
+  // loops below fan out over the shared pool without changing a value.
+  const int threads = AvailableCpus();
+  std::vector<BigInt> blinded(my_ids.size());
+  PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
+      my_ids.size(), threads, [&](size_t i) -> Status {
+        blinded[i] = g.ctx.ModExp(HashToGroup(my_ids[i]), key);
+        return Status::Ok();
+      }));
 
   // Ring pass: each set makes m-1 hops, being raised to every other
   // party's exponent. After the final hop the set returns to a designated
@@ -99,13 +104,17 @@ Result<std::vector<uint64_t>> IntersectSampleIds(
   const int prev = (me + m - 1) % m;
 
   // The set currently in hand; starts as my own blinded set.
-  std::vector<BigInt> in_hand = blinded;
+  std::vector<BigInt> in_hand = std::move(blinded);
   for (int hop = 0; hop + 1 < m; ++hop) {
     PIVOT_RETURN_IF_ERROR(endpoint.Send(next, EncodeGroupVector(in_hand)));
     PIVOT_ASSIGN_OR_RETURN(Bytes msg, endpoint.Recv(prev));
     PIVOT_ASSIGN_OR_RETURN(std::vector<BigInt> received,
                            DecodeBigIntVector(msg));
-    for (BigInt& v : received) v = g.ctx.ModExp(v, key);
+    PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
+        received.size(), threads, [&](size_t i) -> Status {
+          received[i] = g.ctx.ModExp(received[i], key);
+          return Status::Ok();
+        }));
     in_hand = std::move(received);
   }
   // in_hand now holds the fully-blinded set that started at party

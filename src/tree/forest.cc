@@ -30,10 +30,6 @@ ForestModel TrainForest(const Dataset& data, const ForestParams& params) {
   model.num_classes = params.tree.num_classes;
   const size_t n = data.num_samples();
   for (int w = 0; w < params.num_trees; ++w) {
-    if (!params.bootstrap) {
-      model.trees.push_back(TrainCart(data, params.tree));
-      continue;
-    }
     Dataset sample;
     sample.features.reserve(n);
     sample.labels.reserve(n);

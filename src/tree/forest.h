@@ -13,7 +13,6 @@ namespace pivot {
 struct ForestParams {
   TreeParams tree;
   int num_trees = 8;  // the paper's W
-  bool bootstrap = true;
   uint64_t seed = 7;
 };
 

@@ -64,4 +64,25 @@ TEST(CliTest, TrainPredictRoundTrip) {
   std::remove(test_csv.c_str());
 }
 
+TEST(CliTest, RejectsOutOfRangeCryptoThreads) {
+  std::string cli = "../tools/pivot_cli";
+  if (!BinaryExists(cli)) cli = "tools/pivot_cli";
+  if (!BinaryExists(cli)) GTEST_SKIP() << "pivot_cli not found";
+  // The flag is checked before any input is read, so a rejected value
+  // never reaches training or a thread pool (the data paths do not exist).
+  const std::string train =
+      cli + " train --data /nonexistent/train.csv --out /nonexistent/m";
+  const std::string serve =
+      cli + " serve --data /nonexistent/req.csv --model /nonexistent/m";
+  for (const std::string& cmd : {train, serve}) {
+    for (const char* value : {"-1", "257"}) {
+      const std::string out =
+          RunCommand(cmd + " --crypto-threads " + value);
+      EXPECT_NE(out.find("crypto_threads must be in [0, 256]"),
+                std::string::npos)
+          << cmd << " " << value << ": " << out;
+    }
+  }
+}
+
 }  // namespace

@@ -21,10 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "orchestrator/fault.h"
 #include "orchestrator/spec.h"
 
@@ -119,6 +121,43 @@ TEST(SpecTest, SuperOutOfRangeIsAnError) {
       ParseFederationSpec("parties = 3\nsuper = 3\ndata = /d.csv\n");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("out of range"), std::string::npos);
+}
+
+TEST(SpecTest, CryptoThreadsAutoResolvesPerParty) {
+  Result<FederationSpec> r = ParseFederationSpec(
+      "parties = 3\ndata = /d.csv\ncrypto_threads = 0\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().crypto_threads, 0);
+  const int per_party = PartyCryptoThreads(r.value());
+  EXPECT_GE(per_party, 1);
+  EXPECT_EQ(per_party, std::max(1, AvailableCpus() / 3));
+  FederationSpec spec = r.value();
+  spec.addresses = {"unix:/tmp/a", "unix:/tmp/b", "unix:/tmp/c"};
+  const std::vector<std::string> argv = PartyCommand(spec, 0, "cli", -1, -1);
+  const auto it = std::find(argv.begin(), argv.end(), "--crypto-threads");
+  ASSERT_NE(it, argv.end());
+  ASSERT_NE(it + 1, argv.end());
+  EXPECT_EQ(*(it + 1), std::to_string(per_party));
+  // The default is auto too.
+  Result<FederationSpec> d =
+      ParseFederationSpec("parties = 3\ndata = /d.csv\n");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().crypto_threads, 0);
+}
+
+TEST(SpecTest, CryptoThreadsOutOfRangeIsAnError) {
+  // Parse and validate only: no rejected value ever reaches a pool.
+  for (const char* value : {"-1", "257", "100000"}) {
+    std::string text = "parties = 3\ndata = /d.csv\ncrypto_threads = ";
+    text.append(value).append("\n");
+    Result<FederationSpec> r = ParseFederationSpec(text);
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_NE(r.status().message().find("crypto_threads"), std::string::npos)
+        << r.status().ToString();
+  }
+  Result<FederationSpec> cap = ParseFederationSpec(
+      "parties = 3\ndata = /d.csv\ncrypto_threads = 256\n");
+  EXPECT_TRUE(cap.ok()) << cap.status().ToString();
 }
 
 TEST(SpecTest, PartyCommandRendersTrainingAndControlFlags) {

@@ -71,5 +71,28 @@ TEST(PsiTest, BlindedEncodingsHideNonMembers) {
   EXPECT_EQ(results[0], (std::vector<uint64_t>{2, 4, 6}));
 }
 
+TEST(PsiTest, PooledSetsKeepIntersectionInIdOrder) {
+  // Sets large enough that both exponentiation loops fan out over the
+  // shared pool (on a host with more than one CPU); the intersection is
+  // still exactly the common ids, in each party's own id order.
+  std::vector<uint64_t> common;
+  for (uint64_t id = 0; id < 24; ++id) common.push_back(1000 + 7 * id);
+  std::vector<std::vector<uint64_t>> sets(3);
+  for (int p = 0; p < 3; ++p) {
+    for (size_t i = 0; i < common.size(); ++i) {
+      sets[p].push_back(common[(5 * i + 7 * p) % common.size()]);
+      if (i % 3 == 0) sets[p].push_back(50000 + 100 * p + i);  // private
+    }
+  }
+  const auto results = RunPsi(sets);
+  for (int p = 0; p < 3; ++p) {
+    std::vector<uint64_t> expected;
+    for (uint64_t id : sets[p]) {
+      if (id < 50000) expected.push_back(id);
+    }
+    EXPECT_EQ(results[p], expected) << "party " << p;
+  }
+}
+
 }  // namespace
 }  // namespace pivot

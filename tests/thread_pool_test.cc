@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -178,6 +179,57 @@ TEST(ThreadPoolTest, ParallelForReportsChunkOrderedError) {
       });
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
+}
+
+TEST(ThreadPoolTest, ParallelForCallerRunsChunkZero) {
+  // 4 chunks of 16 over a private pool: the caller runs chunk 0 itself,
+  // so the pool grows to 3 workers and runs chunks 1-3; every index runs
+  // exactly once.
+  ThreadPool pool;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(64);
+  for (auto& h : hits) h.store(0);
+  std::mutex mu;
+  std::vector<std::thread::id> runner(hits.size());
+  Status st = pool.ParallelFor(hits.size(), 4, [&](size_t i) -> Status {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu);
+    runner[i] = std::this_thread::get_id();
+    return Status::Ok();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(pool.size(), 3);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+    EXPECT_EQ(runner[i] == caller, i < 16) << "i=" << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForCallerChunkErrorWins) {
+  // Chunk 0 runs on the caller; its error outranks a pool chunk's even
+  // when the pool chunk fails first.
+  ThreadPool pool;
+  Status st = pool.ParallelFor(32, 4, [](size_t i) -> Status {
+    if (i == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::Internal("caller chunk");
+    }
+    if (i == 30) return Status::InvalidArgument("pool chunk");
+    return Status::Ok();
+  });
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(pool.size(), 3);
+}
+
+TEST(ThreadPoolTest, ValidateCryptoThreadsBounds) {
+  // Validation only: no setting here reaches a pool.
+  EXPECT_TRUE(ValidateCryptoThreads(0).ok());
+  EXPECT_TRUE(ValidateCryptoThreads(1).ok());
+  EXPECT_TRUE(ValidateCryptoThreads(kMaxCryptoThreads).ok());
+  EXPECT_FALSE(ValidateCryptoThreads(-1).ok());
+  EXPECT_FALSE(ValidateCryptoThreads(kMaxCryptoThreads + 1).ok());
+  EXPECT_FALSE(ValidateCryptoThreads(1 << 30).ok());
 }
 
 }  // namespace

@@ -139,5 +139,50 @@ TEST(ParallelDecryptionTest, SameTreeAsSequential) {
   }
 }
 
+// Every party's serialized view (shares, masks and public fields) is the
+// same for crypto_threads 0 (auto), 1 and 4, under both protocols. 30
+// samples and 3 candidate splits per feature put the split-statistic,
+// mask-update and decryption kernels above the inline cut-off.
+TEST(ParallelDecryptionTest, EveryPartyViewIsThreadCountInvariant) {
+  ClassificationSpec spec;
+  spec.num_samples = 30;
+  spec.num_features = 6;
+  spec.seed = 17;
+  Dataset data = MakeClassification(spec);
+
+  for (Protocol protocol : {Protocol::kBasic, Protocol::kEnhanced}) {
+    auto train = [&](int threads) {
+      FederationConfig cfg;
+      cfg.num_parties = 3;
+      cfg.params.tree.num_classes = 2;
+      cfg.params.tree.max_depth = 2;
+      cfg.params.tree.max_splits = 3;
+      cfg.params.key_bits = protocol == Protocol::kEnhanced ? 384 : 256;
+      cfg.params.crypto_threads = threads;
+      std::vector<Bytes> views(cfg.num_parties);
+      std::mutex mu;
+      Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+        TrainTreeOptions opts;
+        opts.protocol = protocol;
+        PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+        std::lock_guard<std::mutex> lock(mu);
+        views[ctx.id()] = SerializePivotTree(tree);
+        return Status::Ok();
+      });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      return views;
+    };
+    const std::vector<Bytes> sequential = train(1);
+    for (int threads : {0, 4}) {
+      const std::vector<Bytes> fanned = train(threads);
+      for (size_t p = 0; p < sequential.size(); ++p) {
+        EXPECT_EQ(fanned[p], sequential[p])
+            << "party " << p << " diverged at crypto_threads " << threads
+            << (protocol == Protocol::kEnhanced ? " (enhanced)" : " (basic)");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pivot

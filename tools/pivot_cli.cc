@@ -74,6 +74,7 @@
 #include "orchestrator/spec.h"
 
 #include "common/op_counters.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
@@ -181,6 +182,11 @@ Result<std::vector<PivotTree>> LoadViews(const std::string& prefix, int m) {
 // environment-overridable NetConfig.
 Result<Dataset> LoadTrainInputs(const Args& args, RunnerConfig* cfg,
                                 TrainTreeOptions* opts) {
+  // Fan-out cap for the batched crypto kernels, 0 = one per available
+  // CPU; results are bit-identical for every value (see DESIGN.md,
+  // "Parallelism model").
+  cfg->params.crypto_threads = args.GetInt("crypto-threads", 0);
+  PIVOT_RETURN_IF_ERROR(ValidateCryptoThreads(cfg->params.crypto_threads));
   PIVOT_ASSIGN_OR_RETURN(Dataset data, LoadCsv(args.Get("data", "")));
   const bool enhanced = args.Get("protocol", "basic") == "enhanced";
   opts->protocol = enhanced ? Protocol::kEnhanced : Protocol::kBasic;
@@ -192,9 +198,6 @@ Result<Dataset> LoadTrainInputs(const Args& args, RunnerConfig* cfg,
   cfg->params.tree.max_depth = args.GetInt("depth", 4);
   cfg->params.tree.max_splits = args.GetInt("splits", 8);
   cfg->params.key_bits = args.GetInt("key-bits", enhanced ? 512 : 256);
-  // Fan-out cap for the batched crypto kernels; results are bit-identical
-  // for every value (see DESIGN.md, "Parallelism model").
-  cfg->params.crypto_threads = args.GetInt("crypto-threads", 1);
   // Reliable-channel tunables (timeouts, retry budget, backoff) are
   // environment-overridable; see net/channel.h.
   PIVOT_ASSIGN_OR_RETURN(cfg->net, NetConfig::FromEnv(cfg->net));
@@ -493,6 +496,11 @@ int RunServe(const Args& args) {
   if (data_path.empty() || prefix.empty()) return Usage();
   const int m = args.GetInt("parties", 3);
   const int repeat = std::max(1, args.GetInt("repeat", 1));
+  const int crypto_threads = args.GetInt("crypto-threads", 0);
+  if (Status st = ValidateCryptoThreads(crypto_threads); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
+  }
 
   Result<Dataset> data = LoadCsv(data_path);
   if (!data.ok()) {
@@ -511,7 +519,7 @@ int RunServe(const Args& args) {
   cfg.params.tree.task = views[0].task;
   cfg.params.tree.num_classes = views[0].num_classes;
   cfg.params.key_bits = views[0].protocol == Protocol::kEnhanced ? 512 : 256;
-  cfg.params.crypto_threads = args.GetInt("crypto-threads", 1);
+  cfg.params.crypto_threads = crypto_threads;
   Result<NetConfig> net_cfg = NetConfig::FromEnv(cfg.net);
   if (!net_cfg.ok()) {
     std::fprintf(stderr, "error: %s\n", net_cfg.status().ToString().c_str());
