@@ -255,11 +255,6 @@ int Main(int argc, char** argv) {
   meta.Set("key_bits", p.key_bits);
   meta.Set("reps", p.reps);
   meta.Set("parties", 3);
-  // crypto_threads is left at auto on both sides: the in-memory run uses
-  // every available CPU per party, each party process its share.
-  orch::FederationSpec spec;
-  spec.parties = 3;
-  meta.Set("party_process_crypto_threads", orch::PartyCryptoThreads(spec));
   meta.Set("orchestrated_over_in_memory", overhead);
   WriteBenchJson("bench_orchestrator", std::move(meta), rows);
 

@@ -6,7 +6,8 @@
 //   1. "scalar" baseline — one PredictPivot call per request, i.e. a
 //      batch of one per request: one Algorithm-4 round-robin sweep, one
 //      joint decryption and a rebuilt prediction cache per request,
-//      cold randomness pool;
+//      cold randomness pool (an offline phase of zero pairs, which also
+//      stops the rolling refill, so every pair is an online miss);
 //   2. ServingSession at batch sizes 1/8/64 — warm per-model caches,
 //      pre-warmed encryption-randomness pool, and one batched protocol
 //      sweep (one ciphertext-matrix hop per party, one joint decryption
@@ -21,7 +22,9 @@
 // speedup vs scalar). The speedup is algorithmic, not core-count:
 // pool-hit encrypt/rerandomize costs one modular multiplication instead
 // of a full exponentiation, and network rounds and joint decryptions
-// amortize across the batch (hardware_threads is recorded in the JSON).
+// amortize across the batch. Every mode runs at the library default,
+// crypto_threads = 0 (auto; hardware_threads and available_cpus are
+// recorded in the JSON).
 
 #include <cstring>
 
@@ -61,6 +64,7 @@ int main(int argc, char** argv) {
 
   Dataset data = MakeWorkloadData(w, 23);
   FederationConfig cfg = MakeFederationConfig(w, args, key_bits);
+  cfg.params.crypto_threads = 0;
 
   // --- Train the served model once (basic protocol). ---------------------
   std::vector<PivotTree> views(w.m);
@@ -89,6 +93,7 @@ int main(int argc, char** argv) {
     PIVOT_RETURN_IF_ERROR(RunFederation(
         data, cfg, [&](PartyContext& ctx) -> Status {
           const auto rows = RequestRows(data, ctx.id(), w.m, requests);
+          ctx.PrewarmEncPool(0);
           serve::LatencyRecorder latency;
           WallTimer timer;
           std::vector<double> preds;

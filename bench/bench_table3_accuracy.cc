@@ -130,6 +130,7 @@ RowResult RunDataset(const DatasetSpec& spec, const BenchArgs& args) {
   cfg.params.tree.max_splits = args.full ? 8 : 4;
   // Paper: 512-bit keys for the accuracy experiments.
   cfg.params.key_bits = args.full ? 512 : 384;
+  cfg.params.crypto_threads = kFigureCryptoThreads;
 
   std::vector<std::vector<int>> fmap;
   for (const auto& v : PartitionVertically(data, m).views) {

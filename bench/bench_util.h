@@ -185,6 +185,13 @@ inline Dataset MakeWorkloadData(const Workload& w, uint64_t seed = 1) {
   return MakeClassification(spec);
 }
 
+// Crypto fan-out of every figure bench: the paper's plain systems are
+// sequential, so figures stay comparable across hosts and with earlier
+// committed runs. The "-PP" systems (TimeTreeTraining) use 6; benches
+// that measure the library default (serving, orchestrator) or sweep the
+// count set their own.
+constexpr int kFigureCryptoThreads = 1;
+
 inline FederationConfig MakeFederationConfig(const Workload& w,
                                              const BenchArgs& args,
                                              int key_bits) {
@@ -196,6 +203,7 @@ inline FederationConfig MakeFederationConfig(const Workload& w,
   cfg.params.tree.max_splits = w.b;
   cfg.params.tree.min_samples_split = 5;
   cfg.params.key_bits = args.full ? 1024 : key_bits;
+  cfg.params.crypto_threads = kFigureCryptoThreads;
   // LAN emulation: the paper's testbed is a LAN cluster; without delay the
   // in-memory mesh would hide all communication costs (DESIGN.md).
   cfg.network_sim.latency_us = 20;
@@ -236,12 +244,8 @@ struct TrainResult {
 inline Result<TrainResult> TimeTreeTraining(const Dataset& data,
                                             FederationConfig cfg,
                                             System system) {
-  // The paper's "-PP" variants spread threshold decryption over 6 cores;
-  // its plain variants are sequential unless the caller set a count.
   if (system == System::kPivotBasicPP || system == System::kPivotEnhancedPP) {
     cfg.params.crypto_threads = 6;
-  } else if (cfg.params.crypto_threads == 0) {
-    cfg.params.crypto_threads = 1;
   }
   if (system == System::kPivotEnhanced || system == System::kPivotEnhancedPP) {
     cfg.params.key_bits = std::max(cfg.params.key_bits, 384);

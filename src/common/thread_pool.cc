@@ -78,14 +78,14 @@ int ThreadPool::size() const {
   return static_cast<int>(workers_.size());
 }
 
-void ThreadPool::SubmitTask(Task task) {
+void ThreadPool::SubmitTask(Task task, bool background) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     PIVOT_CHECK(!stop_);
     // Lazily start a worker on first use so purely sequential runs never
     // spawn threads.
     if (workers_.empty()) workers_.emplace_back([this] { WorkerLoop(); });
-    queue_.push_back(std::move(task));
+    (background ? background_ : queue_).push_back(std::move(task));
   }
   OpCounters::Global().AddPoolTask();
   cv_.notify_one();
@@ -96,13 +96,14 @@ void ThreadPool::WorkerLoop() {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (queue_.empty() && !stop_) {
+      while (queue_.empty() && background_.empty() && !stop_) {
         cv_.wait_for(lock, kIdlePoll);
       }
-      if (queue_.empty() && stop_) return;
-      if (queue_.empty()) continue;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      std::deque<Task>& from = queue_.empty() ? background_ : queue_;
+      if (from.empty() && stop_) return;
+      if (from.empty()) continue;
+      task = std::move(from.front());
+      from.pop_front();
     }
     const Status st = RunTask(task.fn);
     if (WaitGroup* g = task.group) {
@@ -122,7 +123,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::Post(std::function<Status()> task) {
-  SubmitTask(Task{std::move(task), nullptr, 0});
+  SubmitTask(Task{std::move(task), nullptr, 0}, /*background=*/true);
 }
 
 ThreadPool::WaitGroup::WaitGroup(ThreadPool& pool) : pool_(pool) {}
@@ -143,7 +144,7 @@ void ThreadPool::WaitGroup::Submit(std::function<Status()> task) {
     seq = next_seq_++;
     ++pending_;
   }
-  pool_.SubmitTask(Task{std::move(task), this, seq});
+  pool_.SubmitTask(Task{std::move(task), this, seq}, /*background=*/false);
 }
 
 Status ThreadPool::WaitGroup::Wait() {

@@ -92,9 +92,12 @@ class ThreadPool {
     Status first_error_;
   };
 
-  // Fire-and-forget submission (offline randomness prefill). The task's
-  // Status is discarded; completion is observed through the caller's own
-  // synchronization (e.g. EncRandomnessPool's in-flight counter).
+  // Fire-and-forget background submission (offline randomness prefill).
+  // The task's Status is discarded; completion is observed through the
+  // caller's own synchronization (e.g. EncRandomnessPool's in-flight
+  // counter). Workers take a background task only when no WaitGroup task
+  // (a ParallelFor chunk) is queued, so a prefill backlog never delays the
+  // online batch that is waiting for its chunks.
   void Post(std::function<Status()> task);
 
   // Runs fn(i) for every i in [0, count), fanning out across at most
@@ -116,11 +119,12 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  void SubmitTask(Task task);
+  void SubmitTask(Task task, bool background);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Task> queue_;
+  std::deque<Task> queue_;       // WaitGroup tasks, run first
+  std::deque<Task> background_;  // Post()ed tasks
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

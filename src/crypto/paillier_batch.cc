@@ -49,38 +49,38 @@ EncRandomnessPool::Pair EncRandomnessPool::ComputePair(uint64_t index) const {
   return p;
 }
 
-std::vector<EncRandomnessPool::Pair> EncRandomnessPool::Drain(size_t count) {
+std::vector<EncRandomnessPool::Pair> EncRandomnessPool::Drain(size_t count,
+                                                             int threads) {
   uint64_t start;
+  std::vector<Pair> out(count);
+  std::vector<size_t> misses;
   {
     std::lock_guard<std::mutex> lock(mu_);
     start = next_index_;
     next_index_ += count;
-  }
-  std::vector<Pair> out;
-  out.reserve(count);
-  uint64_t hits = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t index = start + i;
-    bool hit = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = ready_.find(index);
+    for (size_t i = 0; i < count; ++i) {
+      auto it = ready_.find(start + i);
       if (it != ready_.end()) {
-        out.push_back(std::move(it->second));
+        out[i] = std::move(it->second);
         ready_.erase(it);
-        hit = true;
+      } else {
+        misses.push_back(i);
       }
     }
-    if (hit) {
-      ++hits;
-    } else {
-      // Same pure derivation the prefill would have used, so the drained
-      // value is independent of prefill progress.
-      out.push_back(ComputePair(index));
-    }
   }
-  if (hits > 0) OpCounters::Global().AddEncPoolHit(hits);
-  if (hits < count) OpCounters::Global().AddEncPoolMiss(count - hits);
+  // Same pure derivation the prefill would have used, so the drained
+  // value is independent of prefill progress; the misses fan out like the
+  // batch they feed instead of running serially ahead of it.
+  const Status st = ThreadPool::Global().ParallelFor(
+      misses.size(), threads, [&](size_t k) -> Status {
+        out[misses[k]] = ComputePair(start + misses[k]);
+        return Status::Ok();
+      });
+  PIVOT_CHECK_MSG(st.ok(), "randomness pool sampling failed");
+  if (misses.size() < count) {
+    OpCounters::Global().AddEncPoolHit(count - misses.size());
+  }
+  if (!misses.empty()) OpCounters::Global().AddEncPoolMiss(misses.size());
   return out;
 }
 
@@ -100,19 +100,26 @@ void EncRandomnessPool::PrefillAsync(ThreadPool& pool, size_t count) {
   }
   for (const auto& [begin, end] : ranges) {
     pool.Post([this, begin, end]() -> Status {
+      // A task that waited behind online work may find its pairs already
+      // drained (as misses); skip those instead of computing dead weight.
+      uint64_t first;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        first = std::clamp(next_index_, begin, end);
+      }
       std::vector<Pair> pairs;
-      pairs.reserve(end - begin);
-      for (uint64_t i = begin; i < end; ++i) {
+      pairs.reserve(end - first);
+      for (uint64_t i = first; i < end; ++i) {
         pairs.push_back(ComputePair(i));
       }
       // Notify while holding the lock: once a waiter (the destructor) can
       // observe inflight_tasks_ == 0 it may destroy the pool, so this task
       // must be completely done with `this` before releasing mu_.
       std::lock_guard<std::mutex> lock(mu_);
-      for (uint64_t i = begin; i < end; ++i) {
+      for (uint64_t i = first; i < end; ++i) {
         // A pair the online phase already drained (as a miss) is dead
         // weight; only stash those still ahead of the cursor.
-        if (i >= next_index_) ready_.emplace(i, std::move(pairs[i - begin]));
+        if (i >= next_index_) ready_.emplace(i, std::move(pairs[i - first]));
       }
       --inflight_tasks_;
       cv_.notify_all();
@@ -265,7 +272,8 @@ Result<std::vector<Ciphertext>> EncryptBatch(const PaillierPublicKey& pk,
   OpCounters::Global().AddBatchCall();
   std::vector<Ciphertext> out(plains.size());
   if (plains.empty()) return out;
-  const std::vector<EncRandomnessPool::Pair> pairs = pool.Drain(plains.size());
+  const std::vector<EncRandomnessPool::Pair> pairs =
+      pool.Drain(plains.size(), threads);
   PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
       plains.size(), threads, [&](size_t i) -> Status {
         // Same value EncryptWithRandomness(plains[i], pairs[i].r) would
@@ -301,7 +309,8 @@ Result<std::vector<Ciphertext>> RerandomizeBatch(
   OpCounters::Global().AddBatchCall();
   std::vector<Ciphertext> out(cts.size());
   if (cts.empty()) return out;
-  const std::vector<EncRandomnessPool::Pair> pairs = pool.Drain(cts.size());
+  const std::vector<EncRandomnessPool::Pair> pairs =
+      pool.Drain(cts.size(), threads);
   PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
       cts.size(), threads, [&](size_t i) -> Status {
         OpCounters::Global().AddCiphertextOp();

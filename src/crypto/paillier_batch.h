@@ -65,9 +65,10 @@ class EncRandomnessPool {
   Pair ComputePair(uint64_t index) const;
 
   // Drains `count` consecutive pairs starting at next_index (advancing
-  // it). Precomputed pairs count as hits, inline fallbacks as misses
+  // it). Precomputed pairs count as hits, the rest are computed on demand
+  // over at most `threads` ParallelFor chunks and count as misses
   // (OpCounters enc_pool_hits / enc_pool_misses).
-  std::vector<Pair> Drain(size_t count);
+  std::vector<Pair> Drain(size_t count, int threads = 1);
 
   // Schedules precomputation of up to `count` pairs ahead of next_index
   // on `pool` threads. Cheap to call repeatedly; already-scheduled or

@@ -245,12 +245,17 @@ Result<std::vector<Ciphertext>> PartyContext::SharesToCiphertexts(
   return sum;
 }
 
+void PartyContext::PrewarmEncPool(uint64_t pairs) {
+  enc_pool_->Prefill(pairs);
+  enc_pool_prewarmed_ = true;
+}
+
 Result<std::vector<Ciphertext>> PartyContext::EncryptBatch(
     const std::vector<BigInt>& plains) {
   // Refill ahead of the drain so the next similarly-sized batch finds its
   // (r, r^n) pairs precomputed; with a single crypto thread there is no
   // idle worker to overlap with, so skip the queue traffic.
-  if (crypto_threads() > 1) {
+  if (crypto_threads() > 1 && !enc_pool_prewarmed_) {
     enc_pool_->PrefillAsync(ThreadPool::Global(), 2 * plains.size());
   }
   return pivot::EncryptBatch(pk_, plains, *enc_pool_, crypto_threads());
@@ -258,7 +263,7 @@ Result<std::vector<Ciphertext>> PartyContext::EncryptBatch(
 
 Result<std::vector<Ciphertext>> PartyContext::RerandomizeBatch(
     const std::vector<Ciphertext>& cts) {
-  if (crypto_threads() > 1) {
+  if (crypto_threads() > 1 && !enc_pool_prewarmed_) {
     enc_pool_->PrefillAsync(ThreadPool::Global(), 2 * cts.size());
   }
   return pivot::RerandomizeBatch(pk_, cts, *enc_pool_, crypto_threads());

@@ -60,13 +60,19 @@ class PartyContext {
   // common/thread_pool.h): params().crypto_threads, or AvailableCpus()
   // when that is 0 (auto). Results are bit-identical for every value.
   int crypto_threads() const { return crypto_threads_; }
-  // This party's offline encryption-randomness pool (pairs are pure
-  // functions of the pool seed, so the cursor below checkpoints them).
-  EncRandomnessPool& enc_pool() { return *enc_pool_; }
+  // Offline phase of a serving session: computes `pairs` (r, r^n) pairs
+  // of this party's encryption-randomness pool (pairs are pure functions
+  // of the pool seed, so the cursor in RandomnessState checkpoints them)
+  // on the calling thread. The pool is then sized to the session, so the
+  // batch calls below stop their rolling asynchronous refill: it would
+  // only compute pairs past the last one the session draws, on the
+  // workers its batches need.
+  void PrewarmEncPool(uint64_t pairs);
 
   // Encrypts a batch with randomness drained from the offline pool,
   // fanning out across crypto_threads(); schedules an asynchronous refill
-  // for the next batch when more than one thread is configured.
+  // for the next batch when more than one thread is configured and the
+  // pool was not pre-warmed.
   Result<std::vector<Ciphertext>> EncryptBatch(
       const std::vector<BigInt>& plains);
   // Batched Rerandomize, drawing encryption randomness from the pool.
@@ -162,6 +168,7 @@ class PartyContext {
   int crypto_threads_;
   Rng rng_;
   std::unique_ptr<EncRandomnessPool> enc_pool_;
+  bool enc_pool_prewarmed_ = false;
   std::unique_ptr<Preprocessing> prep_;
   std::unique_ptr<MpcEngine> engine_;
   std::vector<std::vector<double>> split_candidates_;

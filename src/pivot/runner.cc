@@ -1,6 +1,7 @@
 #include "pivot/runner.h"
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "crypto/threshold_paillier.h"
 #include "net/socket.h"
 #include "pivot/checkpoint.h"
@@ -68,6 +69,9 @@ Status RunFederationPartitioned(
   const int m = cfg.num_parties;
   PIVOT_CHECK(static_cast<int>(partition.views.size()) == m);
   PIVOT_CHECK(cfg.super_client >= 0 && cfg.super_client < m);
+  // Checked here, before any party exists, so a bad setting is an error
+  // for the caller rather than PartyContext's invariant check.
+  PIVOT_RETURN_IF_ERROR(ValidateCryptoThreads(cfg.params.crypto_threads));
 
   // Keys and checkpoint stores outlive attempts, as a rebooted party
   // would reload both from its own disk.
@@ -99,6 +103,7 @@ Status RunPartyFederation(const VerticalPartition& partition,
   PIVOT_CHECK(cfg.party_id >= 0 && cfg.party_id < m);
   PIVOT_CHECK(cfg.super_client >= 0 && cfg.super_client < m);
   PIVOT_CHECK(static_cast<int>(partition.views.size()) == m);
+  PIVOT_RETURN_IF_ERROR(ValidateCryptoThreads(cfg.params.crypto_threads));
 
   const ThresholdPaillier keys = FederationKeys(cfg.params, m);
   // With a persist path the store also outlives the process, which is

@@ -26,7 +26,7 @@ Status ServingSession::Warmup() {
   const bool draws_pairs =
       tree_.protocol == Protocol::kBasic || !cache_.lambda.empty();
   if (opts_.prewarm_pairs > 0 && draws_pairs) {
-    ctx_.enc_pool().Prefill(opts_.prewarm_pairs);
+    ctx_.PrewarmEncPool(opts_.prewarm_pairs);
   }
   warmed_ = true;
   return Status::Ok();

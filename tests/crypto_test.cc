@@ -579,6 +579,27 @@ TEST_F(PaillierBatchTest, EncRandomnessPoolDrainMatchesComputePair) {
   }
 }
 
+TEST_F(PaillierBatchTest, EncRandomnessPoolParallelMissesMatchComputePair) {
+  // Misses are computed over ParallelFor chunks; hits and misses
+  // interleave (pairs 4-11 prefetched) and every pair must still be the
+  // pure (seed, index) derivation, at every fan-out.
+  EncRandomnessPool ref(keys_->pk, 555);
+  for (int threads : kThreadSweep) {
+    EncRandomnessPool pool(keys_->pk, 555);
+    pool.Drain(4, threads);
+    pool.Prefill(8);
+    pool.SetNextIndex(0);
+    const std::vector<EncRandomnessPool::Pair> got = pool.Drain(20, threads);
+    ASSERT_EQ(got.size(), 20u);
+    for (size_t i = 0; i < got.size(); ++i) {
+      const EncRandomnessPool::Pair want = ref.ComputePair(i);
+      EXPECT_EQ(got[i].r, want.r) << "threads=" << threads << " i=" << i;
+      EXPECT_EQ(got[i].rn, want.rn) << "threads=" << threads << " i=" << i;
+    }
+    EXPECT_EQ(pool.next_index(), 20u);
+  }
+}
+
 TEST_F(PaillierBatchTest, RerandomizeBatchPreservesPlaintexts) {
   const std::vector<BigInt> plains = SomePlains(9, 21);
   const std::vector<Ciphertext> cts = SomeCts(plains, 22);

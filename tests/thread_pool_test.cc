@@ -222,6 +222,48 @@ TEST(ThreadPoolTest, ParallelForCallerChunkErrorWins) {
   EXPECT_EQ(pool.size(), 3);
 }
 
+TEST(ThreadPoolTest, WaitGroupTasksRunBeforePostedTasks) {
+  // One worker, held busy while a background task and then a WaitGroup
+  // task are queued: once released, it takes the WaitGroup task first.
+  ThreadPool pool(1);
+  ThreadPool::WaitGroup group(pool);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  group.Submit([&]() -> Status {
+    started.store(true);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Ok();
+  });
+  while (!started.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::mutex mu;
+  std::vector<char> order;
+  std::atomic<bool> posted_ran{false};
+  pool.Post([&]() -> Status {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back('b');
+    posted_ran.store(true);
+    return Status::Ok();
+  });
+  group.Submit([&]() -> Status {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back('g');
+    return Status::Ok();
+  });
+  release.store(true);
+  ASSERT_TRUE(group.Wait().ok());
+  while (!posted_ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<char>{'g', 'b'}));
+}
+
 TEST(ThreadPoolTest, ValidateCryptoThreadsBounds) {
   // Validation only: no setting here reaches a pool.
   EXPECT_TRUE(ValidateCryptoThreads(0).ok());

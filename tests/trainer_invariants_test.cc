@@ -3,6 +3,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "pivot/runner.h"
 #include "pivot/serialize.h"
@@ -181,6 +182,28 @@ TEST(ParallelDecryptionTest, EveryPartyViewIsThreadCountInvariant) {
             << (protocol == Protocol::kEnhanced ? " (enhanced)" : " (basic)");
       }
     }
+  }
+}
+
+// An out-of-range crypto_threads is the runner's InvalidArgument, returned
+// before any party (or pool worker) exists.
+TEST(ParallelDecryptionTest, OutOfRangeCryptoThreadsIsAnError) {
+  ClassificationSpec spec;
+  spec.num_samples = 10;
+  spec.num_features = 2;
+  Dataset data = MakeClassification(spec);
+  for (int threads : {-1, kMaxCryptoThreads + 1}) {
+    FederationConfig cfg;
+    cfg.num_parties = 2;
+    cfg.params.key_bits = 256;
+    cfg.params.crypto_threads = threads;
+    bool ran = false;
+    Status st = RunFederation(data, cfg, [&](PartyContext&) -> Status {
+      ran = true;
+      return Status::Ok();
+    });
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "threads=" << threads;
+    EXPECT_FALSE(ran);
   }
 }
 
