@@ -4,11 +4,16 @@
 // to a 2.7x reduction of enhanced-protocol training time (threshold
 // decryption dominates). Two sweeps:
 //   1. kernel-level: PartialDecryptBatch over a ciphertext vector at
-//      1/2/4/8 threads — isolates the pool fan-out from protocol costs;
+//      1/2/4/8 threads — isolates the pool fan-out from protocol costs.
+//      Every thread count is timed kKernelReps times, the counts
+//      interleaved so host drift hits them alike; rows carry the median
+//      with min/max;
 //   2. end-to-end: enhanced-protocol training time vs crypto_threads.
 // Results go to bench_results/bench_ablation_parallel_dec.json. Speedup
 // requires real cores; the JSON records hardware_threads so numbers from
 // core-starved hosts are interpretable.
+
+#include <algorithm>
 
 #include "bench/bench_util.h"
 #include "crypto/paillier_batch.h"
@@ -16,6 +21,9 @@
 
 using namespace pivot;
 using namespace pivot::bench;
+
+// Timed runs per kernel sweep point (odd, so the median is one run).
+constexpr int kKernelReps = 7;
 
 int main(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(argc, argv);
@@ -36,26 +44,40 @@ int main(int argc, char** argv) {
     std::printf("# Kernel: PartialDecryptBatch, %d ciphertexts, %d-bit key "
                 "(host has %u hardware threads)\n",
                 kernel_batch, key_bits, std::thread::hardware_concurrency());
-    std::printf("%-10s %14s %10s\n", "threads", "batch(ms)", "speedup");
-    double base_ms = 0;
-    for (int threads : {1, 2, 4, 8}) {
-      WallTimer timer;
-      Result<std::vector<BigInt>> out =
-          PartialDecryptBatch(keys.pk, keys.partial_keys[0], cts, threads);
-      const double ms = timer.ElapsedMillis();
-      if (!out.ok()) {
-        std::fprintf(stderr, "failed: %s\n", out.status().ToString().c_str());
-        return 1;
+    std::printf("%-10s %14s %14s %14s %10s\n", "threads", "median(ms)",
+                "min(ms)", "max(ms)", "speedup");
+    const std::vector<int> sweep = {1, 2, 4, 8};
+    std::vector<std::vector<double>> ms(sweep.size());
+    for (int rep = 0; rep < kKernelReps; ++rep) {
+      for (size_t k = 0; k < sweep.size(); ++k) {
+        WallTimer timer;
+        Result<std::vector<BigInt>> out =
+            PartialDecryptBatch(keys.pk, keys.partial_keys[0], cts, sweep[k]);
+        ms[k].push_back(timer.ElapsedMillis());
+        if (!out.ok()) {
+          std::fprintf(stderr, "failed: %s\n",
+                       out.status().ToString().c_str());
+          return 1;
+        }
       }
-      if (threads == 1) base_ms = ms;
-      std::printf("%-10d %13.2f %9.2fx\n", threads, ms, base_ms / ms);
+    }
+    double base_ms = 0;
+    for (size_t k = 0; k < sweep.size(); ++k) {
+      std::sort(ms[k].begin(), ms[k].end());
+      const double median = ms[k][ms[k].size() / 2];
+      if (k == 0) base_ms = median;
+      std::printf("%-10d %14.2f %14.2f %14.2f %9.2fx\n", sweep[k], median,
+                  ms[k].front(), ms[k].back(), base_ms / median);
       JsonObject row;
       row.Set("sweep", "kernel_partial_decrypt")
-          .Set("threads", threads)
+          .Set("threads", sweep[k])
           .Set("batch_size", kernel_batch)
           .Set("key_bits", key_bits)
-          .Set("wall_ms", ms)
-          .Set("speedup", base_ms / ms);
+          .Set("reps", kKernelReps)
+          .Set("wall_ms", median)
+          .Set("wall_ms_min", ms[k].front())
+          .Set("wall_ms_max", ms[k].back())
+          .Set("speedup", base_ms / median);
       rows.push_back(row);
     }
   }

@@ -9,9 +9,9 @@ namespace pivot {
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected). Used by the
 // reliable-channel framing layer (net/network.h) to detect corrupted or
 // truncated frames before they reach protocol code. Not cryptographic:
-// it guards against injected transmission faults, not adversaries —
-// integrity against malicious parties is the job of the malicious-model
-// checks (pivot/malicious.h).
+// it guards against injected transmission faults, not adversaries. The
+// protocols are semi-honest; checks against malicious parties (the paper's
+// §9.1) are not implemented.
 uint32_t Crc32(const uint8_t* data, size_t len);
 
 // Incremental form: feed `crc` from a previous call (start with 0).

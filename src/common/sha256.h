@@ -9,9 +9,9 @@
 
 namespace pivot {
 
-// Incremental SHA-256 (FIPS 180-4). Used for Fiat-Shamir challenges in the
-// zero-knowledge proofs of the malicious-model extension; implemented here
-// so the library has no external crypto dependency.
+// Incremental SHA-256 (FIPS 180-4). Used to hash sample ids into the PSI
+// group and to fingerprint model files and trees; implemented here so the
+// library has no external crypto dependency.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;

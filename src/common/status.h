@@ -20,7 +20,7 @@ enum class StatusCode {
   kUnimplemented,
   kIoError,
   kProtocolError,   // a multi-party protocol step failed or was aborted
-  kIntegrityError,  // a ZKP or MAC check failed (malicious behaviour)
+  kIntegrityError,  // a decryption failed its range or divisibility check
   kAborted,         // the party mesh was aborted after a peer failed
 };
 

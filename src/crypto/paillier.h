@@ -66,7 +66,7 @@ class PaillierPublicKey {
   Ciphertext One() const { return Ciphertext{BigInt(1)}; }
 
   // Raw modular exponentiation in Z*_{n^2} (exposed for partial decryption
-  // and the ZKP verifiers).
+  // and the batch kernels).
   BigInt PowModN2(const BigInt& base, const BigInt& exp) const;
   BigInt MulModN2(const BigInt& a, const BigInt& b) const;
 

@@ -387,19 +387,6 @@ Result<std::vector<BigInt>> CombinePartialDecryptionsBatch(
   return out;
 }
 
-Result<std::vector<BigInt>> DecryptBatch(const PaillierPrivateKey& sk,
-                                         const std::vector<Ciphertext>& cts,
-                                         int threads) {
-  OpCounters::Global().AddBatchCall();
-  std::vector<BigInt> out(cts.size());
-  PIVOT_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
-      cts.size(), threads, [&](size_t i) -> Status {
-        PIVOT_ASSIGN_OR_RETURN(out[i], sk.Decrypt(cts[i]));
-        return Status::Ok();
-      }));
-  return out;
-}
-
 Ciphertext SumCiphertexts(const PaillierPublicKey& pk,
                           const std::vector<Ciphertext>& cts) {
   if (cts.empty()) return pk.One();

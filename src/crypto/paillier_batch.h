@@ -174,11 +174,6 @@ Result<std::vector<BigInt>> CombinePartialDecryptionsBatch(
     const std::vector<std::vector<BigInt>>& partials, int expected_parties,
     int threads);
 
-// Non-threshold batch decryption (tests / benches).
-Result<std::vector<BigInt>> DecryptBatch(const PaillierPrivateKey& sk,
-                                         const std::vector<Ciphertext>& cts,
-                                         int threads);
-
 // Homomorphic sum of a ciphertext vector, folded in the Montgomery
 // domain (one conversion out instead of one per element).
 Ciphertext SumCiphertexts(const PaillierPublicKey& pk,

@@ -40,11 +40,11 @@ struct Block {
 constexpr uint32_t kCheckpointMagic = 0x5056434B;
 constexpr uint32_t kCheckpointVersion = 3;
 
-// Public offset added to regression labels inside the protocol so the
-// homomorphic carriers stay small non-negative values (variance gain is
-// shift-invariant; leaves subtract the offset again). Labels must
-// satisfy |y| < kRegressionLabelOffset - 1.
-constexpr double kRegressionLabelOffset = 64.0;
+// Public offset added to regression labels on the Paillier carriers so
+// they stay small non-negative values. Every converted statistic drops it
+// again in the share domain (UnshiftRegressionStats). Labels must satisfy
+// |y| < kRegressionLabelOffset - 1.
+constexpr int64_t kRegressionLabelOffset = 64;
 
 class TreeTrainer {
  public:
@@ -238,9 +238,10 @@ class TreeTrainer {
         for (int t = 0; t < n_; ++t) {
           if (regression_) {
             // Shifted labels keep the homomorphic carrier small and
-            // non-negative; the variance gain is shift-invariant and the
-            // leaf subtracts the offset again.
-            const double shifted = y[t] + kRegressionLabelOffset;
+            // non-negative; UnshiftRegressionStats removes the shift from
+            // the converted shares.
+            const double shifted =
+                y[t] + static_cast<double>(kRegressionLabelOffset);
             const double v = (k == 0) ? shifted : shifted * shifted;
             betas[t] = FpToBigInt(FpFromSigned(FixedFromDouble(v)));
           } else {
@@ -265,6 +266,21 @@ class TreeTrainer {
                              BroadcastFrom(ctx_.super_client(), gammas[k]));
     }
     return gammas;
+  }
+
+  // Removes ComputeGammas' label shift o from converted regression
+  // statistics, exactly and with local share arithmetic only. Over n rows
+  // the carriers hold S' = S + o·n and Q' = Q + 2o·S + o²·n (S, Q fixed
+  // point, n an integer count), so S = S' - o·n and Q = Q' - 2o·S - o²·n.
+  // Left in place, the shift would scale the f-bit reciprocal error of the
+  // variance terms by about o². GBDT's encrypted residuals carry no shift.
+  void UnshiftRegressionStats(u128 n, u128& s, u128& q) const {
+    if (enc_label_mode()) return;
+    constexpr int64_t o = kRegressionLabelOffset;
+    s = FpSub(s, MpcEngine::MulPub(n, static_cast<u128>(o) << kFracBits));
+    q = FpSub(q, FpAdd(MpcEngine::MulPub(s, static_cast<u128>(2 * o)),
+                       MpcEngine::MulPub(n, static_cast<u128>(o * o)
+                                                << kFracBits)));
   }
 
   // Homomorphic sum of a broadcast ciphertext vector (local, identical on
@@ -314,10 +330,6 @@ class TreeTrainer {
         numer = FpAdd(numer, noise);
       }
       PIVOT_ASSIGN_OR_RETURN(u128 mean, eng().DivFixed(numer, denom));
-      if (!enc_label_mode()) {
-        // Undo the public label shift applied in ComputeGammas.
-        mean = eng().AddConst(mean, -FixedFromDouble(kRegressionLabelOffset));
-      }
       if (opts_.protocol == Protocol::kBasic) {
         PIVOT_ASSIGN_OR_RETURN(u128 opened, eng().Open(mean));
         leaf.leaf_value = FixedToDouble(static_cast<int64_t>(FpToSigned(opened)));
@@ -406,6 +418,12 @@ class TreeTrainer {
         for (int slot = 0; slot < per_split; ++slot) {
           stats[slot].push_back(shares[s * per_split + slot]);
         }
+      }
+    }
+    if (regression_) {  // slots n_l, n_r, S_l, S_r, Q_l, Q_r
+      for (size_t s = 0; s < stats[0].size(); ++s) {
+        UnshiftRegressionStats(stats[0][s], stats[2][s], stats[4][s]);
+        UnshiftRegressionStats(stats[1][s], stats[3][s], stats[5][s]);
       }
     }
     return stats;
@@ -647,6 +665,7 @@ class TreeTrainer {
     for (const auto& gamma : gammas) agg_cts.push_back(SumCiphertexts(gamma));
     PIVOT_ASSIGN_OR_RETURN(std::vector<u128> agg,
                            ctx_.CiphertextsToShares(agg_cts, 0));
+    if (regression_) UnshiftRegressionStats(agg[0], agg[1], agg[2]);
 
     // Public prune conditions.
     std::vector<SplitRef> refs;

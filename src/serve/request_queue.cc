@@ -1,4 +1,4 @@
-#include "serve/batch_scheduler.h"
+#include "serve/request_queue.h"
 
 #include <algorithm>
 

@@ -1,5 +1,5 @@
-#ifndef PIVOT_SERVE_BATCH_SCHEDULER_H_
-#define PIVOT_SERVE_BATCH_SCHEDULER_H_
+#ifndef PIVOT_SERVE_REQUEST_QUEUE_H_
+#define PIVOT_SERVE_REQUEST_QUEUE_H_
 
 #include <chrono>
 #include <condition_variable>
@@ -74,4 +74,4 @@ struct ServeOptions {
 }  // namespace serve
 }  // namespace pivot
 
-#endif  // PIVOT_SERVE_BATCH_SCHEDULER_H_
+#endif  // PIVOT_SERVE_REQUEST_QUEUE_H_

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "pivot/prediction.h"
-#include "serve/batch_scheduler.h"
+#include "serve/request_queue.h"
 #include "serve/metrics.h"
 
 namespace pivot {

@@ -2,10 +2,12 @@
 //
 // Tier 1 (ChaosTest): sweeps seeded *fatal-only* fault schedules
 // (net/fault.h, FaultMix::kFatalOnly) across the MPC engine,
-// basic/enhanced training, prediction, and the malicious checks,
-// asserting the security-with-abort contract — every schedule terminates
-// within a short deadline with a clean error Status naming a party, never
-// a hang or a crash.
+// basic/enhanced training, prediction and serving, asserting the
+// security-with-abort contract — every schedule terminates within a short
+// deadline with a clean error Status naming a party, never a hang or a
+// crash. The protocols are semi-honest: a corrupted ciphertext may decrypt
+// to garbage without an error, so sweeps over ciphertext traffic assert
+// only a loose error fraction.
 //
 // Tier 2 (ChaosRecoveryTest): sweeps *transient-only* and crash-recovery
 // schedules, asserting the stronger survives-and-matches contract — the
@@ -33,7 +35,6 @@
 #include "mpc/engine.h"
 #include "net/fault.h"
 #include "net/network.h"
-#include "pivot/malicious.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
 #include "pivot/serialize.h"
@@ -277,25 +278,6 @@ TEST(ChaosTest, ServingSweep) {
   // without an error in the semi-honest model, so only a loose error
   // fraction is asserted.
   EXPECT_GE(errored, seeds / 4);
-}
-
-TEST(ChaosTest, MaliciousConversionSweep) {
-  const int seeds = EnvInt("PIVOT_CHAOS_PROTO_SEEDS", 25);
-  const int errored = SweepFederation(
-      seeds, /*salt=*/0xE0000000ULL, /*key_bits=*/256, /*max_op=*/20,
-      /*max_msg=*/6, [](PartyContext& ctx) -> Status {
-        std::vector<Ciphertext> cts;
-        if (ctx.id() == 0) {
-          for (int i = 0; i < 4; ++i) {
-            cts.push_back(ctx.pk().Encrypt(BigInt(i), ctx.rng()));
-          }
-        }
-        PIVOT_ASSIGN_OR_RETURN(std::vector<u128> shares,
-                               VerifiedCiphertextsToShares(ctx, cts, 0));
-        (void)shares;
-        return Status::Ok();
-      });
-  EXPECT_GE(errored, seeds / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include "crypto/paillier.h"
 #include "crypto/paillier_batch.h"
 #include "crypto/threshold_paillier.h"
-#include "crypto/zkp.h"
 
 namespace pivot {
 namespace {
@@ -230,226 +229,6 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   h.Update(data.data() + 100, 200);
   EXPECT_EQ(h.Finish(), Sha256::Hash(data));
 }
-
-// --------------------------------------------------------------------------
-// Zero-knowledge proofs
-// --------------------------------------------------------------------------
-
-class ZkpTest : public PaillierTest {};
-
-TEST_F(ZkpTest, PopkAcceptsHonestProof) {
-  BigInt m(123456);
-  BigInt r = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c = keys_->pk.EncryptWithRandomness(m, r);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c, m, r, *rng_);
-  EXPECT_TRUE(VerifyPlaintextKnowledge(keys_->pk, c, proof).ok());
-}
-
-TEST_F(ZkpTest, PopkRejectsWrongCiphertext) {
-  BigInt m(5);
-  BigInt r = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c = keys_->pk.EncryptWithRandomness(m, r);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c, m, r, *rng_);
-  Ciphertext other = keys_->pk.Encrypt(BigInt(6), *rng_);
-  EXPECT_FALSE(VerifyPlaintextKnowledge(keys_->pk, other, proof).ok());
-}
-
-TEST_F(ZkpTest, PopkRejectsTamperedResponse) {
-  BigInt m(5);
-  BigInt r = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c = keys_->pk.EncryptWithRandomness(m, r);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c, m, r, *rng_);
-  proof.z = proof.z + BigInt(1);
-  EXPECT_FALSE(VerifyPlaintextKnowledge(keys_->pk, c, proof).ok());
-}
-
-TEST_F(ZkpTest, PopkRejectsNegativeResponse) {
-  // A malformed proof with z < 0 must be rejected before any modular
-  // arithmetic (negative exponents would be undefined behavior upstream).
-  BigInt m(5);
-  BigInt r = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c = keys_->pk.EncryptWithRandomness(m, r);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c, m, r, *rng_);
-  proof.z = BigInt(0) - BigInt(1);
-  Status s = VerifyPlaintextKnowledge(keys_->pk, c, proof);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("negative response"), std::string::npos);
-}
-
-TEST_F(ZkpTest, PopkRejectsReplayedProofOnFreshCiphertext) {
-  // Fiat-Shamir binds the challenge to the statement: a proof replayed
-  // against a different encryption of the SAME plaintext must fail,
-  // because the recomputed challenge no longer matches the response.
-  BigInt m(41);
-  BigInt r1 = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c1 = keys_->pk.EncryptWithRandomness(m, r1);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c1, m, r1, *rng_);
-  ASSERT_TRUE(VerifyPlaintextKnowledge(keys_->pk, c1, proof).ok());
-  Ciphertext c2 = keys_->pk.Encrypt(m, *rng_);
-  EXPECT_FALSE(VerifyPlaintextKnowledge(keys_->pk, c2, proof).ok());
-}
-
-TEST_F(ZkpTest, PopkRejectsTamperedCommitment) {
-  // Tampering with the commitment changes the recomputed challenge e,
-  // so the verification equation fails (challenge-binding).
-  BigInt m(9);
-  BigInt r = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext c = keys_->pk.EncryptWithRandomness(m, r);
-  PopkProof proof = ProvePlaintextKnowledge(keys_->pk, c, m, r, *rng_);
-  proof.commitment = proof.commitment + BigInt(1);
-  EXPECT_FALSE(VerifyPlaintextKnowledge(keys_->pk, c, proof).ok());
-}
-
-TEST_F(ZkpTest, PopcmAcceptsHonestProof) {
-  // Prover: knows a committed in ca, computes c_out = cb^a.
-  BigInt a(17);
-  BigInt ra = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext ca = keys_->pk.EncryptWithRandomness(a, ra);
-  Ciphertext cb = keys_->pk.Encrypt(BigInt(100), *rng_);
-  Ciphertext c_out = keys_->pk.ScalarMul(a, cb);
-  PopcmProof proof =
-      ProvePlainCipherMul(keys_->pk, ca, ra, a, cb, BigInt(1), *rng_);
-  EXPECT_TRUE(VerifyPlainCipherMul(keys_->pk, ca, cb, c_out, proof).ok());
-  // Sanity: the relation is the paper's element-wise homomorphic multiply.
-  EXPECT_EQ(keys_->sk.Decrypt(c_out).value(), BigInt(1700));
-}
-
-TEST_F(ZkpTest, PopcmRejectsWrongProduct) {
-  BigInt a(17);
-  BigInt ra = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext ca = keys_->pk.EncryptWithRandomness(a, ra);
-  Ciphertext cb = keys_->pk.Encrypt(BigInt(100), *rng_);
-  PopcmProof proof =
-      ProvePlainCipherMul(keys_->pk, ca, ra, a, cb, BigInt(1), *rng_);
-  // Claim a different product: cb^(a+1).
-  Ciphertext wrong = keys_->pk.ScalarMul(a + BigInt(1), cb);
-  EXPECT_FALSE(VerifyPlainCipherMul(keys_->pk, ca, cb, wrong, proof).ok());
-}
-
-TEST_F(ZkpTest, PopcmRejectsSwappedCommitment) {
-  BigInt a(3);
-  BigInt ra = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext ca = keys_->pk.EncryptWithRandomness(a, ra);
-  Ciphertext cb = keys_->pk.Encrypt(BigInt(10), *rng_);
-  Ciphertext c_out = keys_->pk.ScalarMul(a, cb);
-  PopcmProof proof =
-      ProvePlainCipherMul(keys_->pk, ca, ra, a, cb, BigInt(1), *rng_);
-  // Verifier pairs the proof with a commitment to a different value.
-  Ciphertext ca2 = keys_->pk.Encrypt(BigInt(4), *rng_);
-  EXPECT_FALSE(VerifyPlainCipherMul(keys_->pk, ca2, cb, c_out, proof).ok());
-}
-
-TEST_F(ZkpTest, PohdpAcceptsHonestProof) {
-  // The POHDP scenario from the paper: a client proves its encrypted split
-  // statistic equals the dot product of its (committed) indicator vector
-  // with the broadcast encrypted mask.
-  std::vector<BigInt> values = {BigInt(1), BigInt(0), BigInt(1), BigInt(1)};
-  std::vector<BigInt> rand;
-  std::vector<Ciphertext> commitments;
-  for (const BigInt& v : values) {
-    rand.push_back(keys_->pk.SampleUnit(*rng_).value());
-    commitments.push_back(keys_->pk.EncryptWithRandomness(v, rand.back()));
-  }
-  std::vector<Ciphertext> mask;
-  for (int64_t a : {1, 1, 0, 1}) mask.push_back(keys_->pk.Encrypt(BigInt(a), *rng_));
-
-  // c_out = prod mask_j ^ v_j  (the homomorphic dot product).
-  Ciphertext c_out = keys_->pk.One();
-  for (size_t j = 0; j < values.size(); ++j) {
-    c_out = Ciphertext{keys_->pk.MulModN2(
-        c_out.value, keys_->pk.PowModN2(mask[j].value, values[j]))};
-  }
-
-  PohdpProof proof = ProveHomomorphicDotProduct(
-      keys_->pk, commitments, rand, values, mask, BigInt(1), *rng_);
-  EXPECT_TRUE(VerifyHomomorphicDotProduct(keys_->pk, commitments, mask, c_out,
-                                          proof)
-                  .ok());
-  EXPECT_EQ(keys_->sk.Decrypt(c_out).value(), BigInt(2));
-}
-
-TEST_F(ZkpTest, PohdpRejectsInflatedStatistic) {
-  std::vector<BigInt> values = {BigInt(1), BigInt(0)};
-  std::vector<BigInt> rand;
-  std::vector<Ciphertext> commitments;
-  for (const BigInt& v : values) {
-    rand.push_back(keys_->pk.SampleUnit(*rng_).value());
-    commitments.push_back(keys_->pk.EncryptWithRandomness(v, rand.back()));
-  }
-  std::vector<Ciphertext> mask = {keys_->pk.Encrypt(BigInt(1), *rng_),
-                                  keys_->pk.Encrypt(BigInt(1), *rng_)};
-  PohdpProof proof = ProveHomomorphicDotProduct(
-      keys_->pk, commitments, rand, values, mask, BigInt(1), *rng_);
-  // A malicious client claims a larger count than its data supports.
-  Ciphertext inflated = keys_->pk.Encrypt(BigInt(2), *rng_);
-  EXPECT_FALSE(VerifyHomomorphicDotProduct(keys_->pk, commitments, mask,
-                                           inflated, proof)
-                   .ok());
-}
-
-TEST_F(ZkpTest, PopcmRejectsTamperedWitnesses) {
-  BigInt a(6);
-  BigInt ra = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext ca = keys_->pk.EncryptWithRandomness(a, ra);
-  Ciphertext cb = keys_->pk.Encrypt(BigInt(11), *rng_);
-  Ciphertext c_out = keys_->pk.ScalarMul(a, cb);
-  PopcmProof proof =
-      ProvePlainCipherMul(keys_->pk, ca, ra, a, cb, BigInt(1), *rng_);
-  ASSERT_TRUE(VerifyPlainCipherMul(keys_->pk, ca, cb, c_out, proof).ok());
-  // Check 1 (ciphertext relation) and check 2 (commitment relation) must
-  // each catch a tampered witness independently.
-  PopcmProof bad1 = proof;
-  bad1.w2 = bad1.w2 + BigInt(1);
-  EXPECT_FALSE(VerifyPlainCipherMul(keys_->pk, ca, cb, c_out, bad1).ok());
-  PopcmProof bad2 = proof;
-  bad2.w1 = bad2.w1 + BigInt(1);
-  EXPECT_FALSE(VerifyPlainCipherMul(keys_->pk, ca, cb, c_out, bad2).ok());
-}
-
-TEST_F(ZkpTest, PopcmRejectsNegativeResponse) {
-  BigInt a(3);
-  BigInt ra = keys_->pk.SampleUnit(*rng_).value();
-  Ciphertext ca = keys_->pk.EncryptWithRandomness(a, ra);
-  Ciphertext cb = keys_->pk.Encrypt(BigInt(2), *rng_);
-  Ciphertext c_out = keys_->pk.ScalarMul(a, cb);
-  PopcmProof proof =
-      ProvePlainCipherMul(keys_->pk, ca, ra, a, cb, BigInt(1), *rng_);
-  proof.z = BigInt(0) - BigInt(5);
-  Status s = VerifyPlainCipherMul(keys_->pk, ca, cb, c_out, proof);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("negative response"), std::string::npos);
-}
-
-TEST_F(ZkpTest, PohdpRejectsNegativeResponse) {
-  std::vector<BigInt> values = {BigInt(1)};
-  std::vector<BigInt> rand = {keys_->pk.SampleUnit(*rng_).value()};
-  std::vector<Ciphertext> commitments = {
-      keys_->pk.EncryptWithRandomness(values[0], rand[0])};
-  std::vector<Ciphertext> mask = {keys_->pk.Encrypt(BigInt(1), *rng_)};
-  Ciphertext c_out = Ciphertext{
-      keys_->pk.PowModN2(mask[0].value, values[0])};
-  PohdpProof proof = ProveHomomorphicDotProduct(
-      keys_->pk, commitments, rand, values, mask, BigInt(1), *rng_);
-  ASSERT_TRUE(VerifyHomomorphicDotProduct(keys_->pk, commitments, mask,
-                                          c_out, proof)
-                  .ok());
-  proof.z[0] = BigInt(0) - BigInt(1);
-  Status s = VerifyHomomorphicDotProduct(keys_->pk, commitments, mask, c_out,
-                                         proof);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("negative response"), std::string::npos);
-}
-
-TEST_F(ZkpTest, PohdpRejectsSizeMismatch) {
-  PohdpProof proof;
-  proof.commitment_a = BigInt(1);
-  proof.w2 = BigInt(1);
-  EXPECT_FALSE(VerifyHomomorphicDotProduct(
-                   keys_->pk, {keys_->pk.Encrypt(BigInt(1), *rng_)}, {},
-                   keys_->pk.One(), proof)
-                   .ok());
-}
-
 
 // ---------------------------------------------------------------------------
 // Batched kernels (crypto/paillier_batch.h): every kernel must be
@@ -746,24 +525,6 @@ TEST_F(PaillierBatchTest, CombineBatchRejectsBadShapes) {
   std::vector<std::vector<BigInt>> ragged = partials;
   ragged[1].pop_back();
   EXPECT_FALSE(CombinePartialDecryptionsBatch(keys_->pk, ragged, 3, 1).ok());
-}
-
-TEST_F(PaillierBatchTest, DecryptBatchMatchesScalarDecrypt) {
-  Rng rng(4711);
-  PaillierKeyPair pair = GeneratePaillierKeyPair(256, rng);
-  for (size_t count : kSizeSweep) {
-    std::vector<BigInt> plains = SomePlains(count, 103);
-    std::vector<Ciphertext> cts;
-    for (const BigInt& m : plains) cts.push_back(pair.pk.Encrypt(m, rng));
-    for (int threads : kThreadSweep) {
-      Result<std::vector<BigInt>> got = DecryptBatch(pair.sk, cts, threads);
-      ASSERT_TRUE(got.ok());
-      ASSERT_EQ(got.value().size(), count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(got.value()[i], plains[i]);
-      }
-    }
-  }
 }
 
 TEST_F(PaillierBatchTest, SumCiphertextsMatchesAddFold) {

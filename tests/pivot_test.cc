@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 
+#include "common/fixed_point.h"
 #include "data/synthetic.h"
 #include "pivot/ensemble.h"
 #include "pivot/prediction.h"
@@ -64,6 +67,15 @@ class PerParty {
   std::vector<T> values_;
 };
 
+// Global feature index of every party's local columns.
+std::vector<std::vector<int>> FeatureMap(const Dataset& data, int parties) {
+  std::vector<std::vector<int>> feature_map;
+  for (const auto& view : PartitionVertically(data, parties).views) {
+    feature_map.push_back(view.feature_indices);
+  }
+  return feature_map;
+}
+
 TEST(PivotBasicTest, ClassificationMatchesNonPrivateCart) {
   Dataset data = SmallClassification();
   PivotParams params = TestParams(TreeTask::kClassification);
@@ -93,10 +105,7 @@ TEST(PivotBasicTest, ClassificationMatchesNonPrivateCart) {
   // (up to fixed-point gain ties, so accuracy is compared exactly on
   // training data).
   TreeModel np = TrainCart(data, params.tree);
-  std::vector<std::vector<int>> feature_map;
-  for (const auto& view : PartitionVertically(data, 3).views) {
-    feature_map.push_back(view.feature_indices);
-  }
+  const auto feature_map = FeatureMap(data, 3);
   int agree = 0;
   for (size_t i = 0; i < data.num_samples(); ++i) {
     double pivot_pred = tree.EvaluatePlain(data.features[i], feature_map);
@@ -107,6 +116,55 @@ TEST(PivotBasicTest, ClassificationMatchesNonPrivateCart) {
   // agreement.
   EXPECT_GE(agree, static_cast<int>(data.num_samples()) - 2)
       << "Pivot and CART disagree on too many samples";
+}
+
+// Regression Pivot-DT equals CART on the same candidate grid: the same
+// splits, and leaf means that differ only by fixed-point rounding. The
+// sweep covers several seeds and two shapes, because one matching tree
+// says little about gain precision.
+TEST(PivotBasicTest, RegressionMatchesNonPrivateCart) {
+  struct Shape {
+    int rows;
+    int depth;
+    uint64_t seed;
+  };
+  const Shape shapes[] = {{40, 2, 1}, {40, 2, 2}, {40, 2, 3}, {40, 2, 4},
+                          {40, 2, 5}, {40, 2, 6}, {200, 3, 1}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("rows=" + std::to_string(shape.rows) +
+                 " depth=" + std::to_string(shape.depth) +
+                 " seed=" + std::to_string(shape.seed));
+    const Dataset data = SmallRegression(shape.rows, 6, shape.seed);
+    PivotParams params = TestParams(TreeTask::kRegression);
+    params.tree.max_depth = shape.depth;
+    FederationConfig cfg;
+    cfg.num_parties = 3;
+    cfg.params = params;
+
+    PerParty<PivotTree> trees(3);
+    Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+      TrainTreeOptions opts;
+      PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+      trees.Set(ctx.id(), std::move(tree));
+      return Status::Ok();
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+
+    const PivotTree& tree = trees.Get(0);
+    const TreeModel np = TrainCart(data, params.tree);
+    EXPECT_EQ(tree.NumLeaves(), np.NumLeaves());
+    const auto feature_map = FeatureMap(data, 3);
+    int differ = 0;
+    double worst = 0.0;
+    for (size_t i = 0; i < data.num_samples(); ++i) {
+      const double gap =
+          std::abs(tree.EvaluatePlain(data.features[i], feature_map) -
+                   np.Predict(data.features[i]));
+      differ += gap > 0.01;
+      worst = std::max(worst, gap);
+    }
+    EXPECT_EQ(differ, 0) << "largest prediction gap " << worst;
+  }
 }
 
 TEST(PivotBasicTest, DistributedPredictionMatchesPublicModel) {
@@ -328,6 +386,46 @@ TEST(PivotEnhancedTest, RegressionPredictionsClose) {
     return Status::Ok();
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+// Enhanced regression keeps every leaf mean secret-shared. Opened, the
+// shares equal CART's leaf means on the same data, up to fixed-point
+// rounding, so the private split selection found CART's partition.
+TEST(PivotEnhancedTest, RegressionLeafSharesOpenToCartLeaves) {
+  const Dataset data = SmallRegression(40, 6, 3);
+  PivotParams params = TestParams(TreeTask::kRegression, 2, /*key_bits=*/384);
+  FederationConfig cfg;
+  cfg.num_parties = 3;
+  cfg.params = params;
+
+  PerParty<std::vector<double>> leaves(3);
+  Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+    TrainTreeOptions opts;
+    opts.protocol = Protocol::kEnhanced;
+    PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+    std::vector<double> opened;
+    for (const PivotNode& node : tree.nodes) {
+      if (!node.is_leaf) continue;
+      PIVOT_ASSIGN_OR_RETURN(u128 v, ctx.engine().Open(node.leaf_share));
+      opened.push_back(FixedToDouble(static_cast<int64_t>(FpToSigned(v))));
+    }
+    leaves.Set(ctx.id(), std::move(opened));
+    return Status::Ok();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  std::vector<double> pivot_leaves = leaves.Get(0);
+  const TreeModel np = TrainCart(data, params.tree);
+  std::vector<double> cart_leaves;
+  for (const TreeNode& node : np.nodes()) {
+    if (node.is_leaf) cart_leaves.push_back(node.leaf_value);
+  }
+  ASSERT_EQ(pivot_leaves.size(), cart_leaves.size());
+  std::sort(pivot_leaves.begin(), pivot_leaves.end());
+  std::sort(cart_leaves.begin(), cart_leaves.end());
+  for (size_t i = 0; i < cart_leaves.size(); ++i) {
+    EXPECT_NEAR(pivot_leaves[i], cart_leaves[i], 0.01) << "leaf " << i;
+  }
 }
 
 TEST(PivotEnsembleTest, RandomForestClassification) {

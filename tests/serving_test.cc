@@ -179,7 +179,7 @@ std::vector<double> ServePredict(const std::vector<PivotTree>& views,
 }
 
 // ---------------------------------------------------------------------------
-// 1. Queue / scheduler units.
+// 1. Request queue units.
 // ---------------------------------------------------------------------------
 
 TEST(RequestQueueTest, PopBatchCoalescesUpToMax) {
@@ -196,7 +196,7 @@ TEST(RequestQueueTest, PopBatchCoalescesUpToMax) {
 
 // The serve loop's cut: ServingSession::Serve pops with the session's
 // batch_size and max_wait_ms.
-TEST(BatchSchedulerTest, NextBatchHonorsBatchSize) {
+TEST(RequestQueueTest, NextBatchHonorsBatchSize) {
   serve::RequestQueue q;
   for (int i = 0; i < 10; ++i) q.Push({double(i)});
   serve::ServeOptions opts;

@@ -930,8 +930,8 @@ def main(argv):
     # Pass 1: generate return-taint summaries per function name. Summaries
     # are keyed by unqualified name, so a name is summarized as tainted
     # only when EVERY definition of it has a tainted return — otherwise
-    # e.g. AuthEngine::Mul (MAC-carrying) would alias MpcEngine::Mul
-    # (plain shares) and taint every call site of the latter.
+    # one secret-returning overload or same-named method in another class
+    # would taint every call site of all the others.
     tainted_names, clean_names = set(), set()
     for rel, text in texts.items():
         fa = FileAnalysis(rel, text, model, set())
