@@ -41,8 +41,11 @@ constexpr uint32_t kCheckpointMagic = 0x5056434B;
 constexpr uint32_t kCheckpointVersion = 3;
 
 // Public offset added to regression labels on the Paillier carriers so
-// they stay small non-negative values. Every converted statistic drops it
-// again in the share domain (UnshiftRegressionStats). Labels must satisfy
+// they stay small non-negative values: a negative one would be encoded
+// near p, and its product with an enhanced child mask (up to m^2·b·p^2 as
+// an integer) would wrap a 384-bit plaintext space. Every converted
+// statistic drops the offset again in the share domain
+// (UnshiftRegressionStats). Labels must satisfy
 // |y| < kRegressionLabelOffset - 1.
 constexpr int64_t kRegressionLabelOffset = 64;
 
