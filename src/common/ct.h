@@ -112,8 +112,7 @@ inline void CtSelect(uint8_t pick_a, const Bytes& a, const Bytes& b,
 
 // Folds a vector-shaped check into one constant-time verdict: true iff
 // every word is zero. The loop shape is identical for pass and fail, so
-// timing cannot reveal *which* element failed (e.g. which MAC share was
-// tampered with).
+// timing cannot reveal *which* element failed.
 inline bool AllZeroU128(const u128ct* values, size_t count) {
   u128ct acc = 0;
   for (size_t i = 0; i < count; ++i) acc |= values[i];

@@ -29,8 +29,8 @@ inline u128 FpFold(u128 x) {
   return (x & kFieldPrime) + (x >> 127);
 }
 
-// The Fp* primitives below are branchless: they run on secret shares, MAC
-// values, and masks, so their timing must not depend on operand values
+// The Fp* primitives below are branchless: they run on secret shares and
+// masks, so their timing must not depend on operand values
 // (tools/pivot_taint.py annotates their parameters as secret). Conditional
 // subtractions are expressed as arithmetic masks from common/ct.h.
 
