@@ -4,7 +4,7 @@
 // classification is by far the most expensive (one-vs-the-rest trains W·c
 // trees and runs a secure softmax per round); GBDT regression is slightly
 // above RF regression (encrypted residual labels); RF classification is
-// slightly above RF regression (c=4 vs 2 label vectors).
+// slightly above RF regression (c=4 vs 1 label vector).
 
 #include "bench/bench_util.h"
 

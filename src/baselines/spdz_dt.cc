@@ -86,15 +86,15 @@ class SpdzTrainer {
         }
       }
     }
-    const int label_vectors = regression_ ? 2 : c_;
-    beta_.resize(label_vectors);
-    for (int k = 0; k < label_vectors; ++k) {
+    // One-hot class indicators, or the one regression label vector.
+    beta_.resize(regression_ ? 1 : c_);
+    for (int k = 0; k < static_cast<int>(beta_.size()); ++k) {
       std::vector<i128> vals(n_, 0);
       if (ctx_.is_super()) {
         for (int t = 0; t < n_; ++t) {
           const double y = ctx_.labels()[t];
           if (regression_) {
-            vals[t] = FixedFromDouble(k == 0 ? y : y * y);
+            vals[t] = FixedFromDouble(y);
           } else {
             vals[t] = (static_cast<int>(y) == k) ? 1 : 0;
           }
@@ -163,7 +163,7 @@ class SpdzTrainer {
                         std::vector<std::vector<bool>> available, int depth) {
     // gamma_k = alpha * beta_k element-wise (n·c secure multiplications —
     // what Pivot's TPHE local computation avoids).
-    const int label_vectors = regression_ ? 2 : c_;
+    const int label_vectors = static_cast<int>(beta_.size());
     std::vector<std::vector<u128>> gamma(label_vectors);
     for (int k = 0; k < label_vectors; ++k) {
       PIVOT_ASSIGN_OR_RETURN(gamma[k], eng().MulVec(alpha, beta_[k]));
@@ -193,7 +193,7 @@ class SpdzTrainer {
 
     // Split statistics: left side via secure inner products with the
     // shared indicators, right side as node aggregate minus left.
-    const int per_split = regression_ ? 6 : 2 + 2 * c_;
+    const int per_split = 2 + 2 * label_vectors;
     std::vector<std::vector<u128>> stats(per_split,
                                          std::vector<u128>(total_splits, 0));
     // One big multiplication batch: for each split, alpha·v and gamma_k·v.
@@ -232,8 +232,7 @@ class SpdzTrainer {
     }
 
     PIVOT_ASSIGN_OR_RETURN(SecureGainResult gains,
-                           ComputeSecureGains(eng(), stats, agg, regression_,
-                                              c_));
+                           ComputeSecureGains(eng(), stats, agg, regression_));
     PIVOT_ASSIGN_OR_RETURN(MpcEngine::ArgmaxShares best,
                            eng().Argmax(gains.scores, 48));
     {

@@ -32,14 +32,15 @@ namespace pivot {
 // they neither resume from nor overwrite the newest snapshots) until
 // the crashed tree's Train call reaches the store's epoch and resumes.
 //
-// Snapshot wire format (ByteWriter, little-endian), version 3:
+// Snapshot wire format (ByteWriter, little-endian), version 4:
 //   u32  magic 'PVCK' (0x5056434B)    u32  version
 //   u64  epoch    u64  completed-node count (the checkpoint index)
 //   tree: the tree so far as a length-prefixed PVT2 blob (the model-file
 //     codec of pivot/serialize.h); pending child slots are -1
 //   stack (bottom to top): u64 count, then per pending node its
-//     NodeState (alpha/gamma1/gamma2 ciphertext vectors, per-client
-//     availability bitsets, depth), one per open child slot of the tree
+//     NodeState (the alpha ciphertext vector; the gamma vector, GBDT's
+//     encrypted residuals [Y ∘ alpha] and empty otherwise; per-client
+//     availability bitsets; depth), one per open child slot of the tree
 //     in ascending parent id, a right slot below its left one
 //   randomness: RngState of the context rng, the MPC engine rng + round
 //     counter, the preprocessing rng + triples/masks counters, and the

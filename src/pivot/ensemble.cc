@@ -41,19 +41,8 @@ Result<PivotTree> GbdtRound(PartyContext& ctx, const EnsembleOptions& options,
                             const std::vector<u128>& residual_shares,
                             std::vector<u128>* scores_to_update) {
   MpcEngine& eng = ctx.engine();
-  PIVOT_ASSIGN_OR_RETURN(std::vector<u128> y_sq,
-                         eng.MulFixedVec(residual_shares, residual_shares));
-  // Convert [Y] and [Y^2] in one concatenated batch: one broadcast round
-  // and one batched encryption instead of two of each.
-  std::vector<u128> both;
-  both.reserve(2 * residual_shares.size());
-  both.insert(both.end(), residual_shares.begin(), residual_shares.end());
-  both.insert(both.end(), y_sq.begin(), y_sq.end());
-  PIVOT_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
-                         ctx.SharesToCiphertexts(both));
   EncryptedLabelState labels;
-  labels.y.assign(cts.begin(), cts.begin() + residual_shares.size());
-  labels.y_sq.assign(cts.begin() + residual_shares.size(), cts.end());
+  PIVOT_ASSIGN_OR_RETURN(labels.y, ctx.SharesToCiphertexts(residual_shares));
 
   TrainTreeOptions tree_opts;
   tree_opts.protocol = Protocol::kBasic;

@@ -28,6 +28,16 @@ enum class HidingLevel {
   kClientAndFeature, // nothing about the split is public
 };
 
+// Public offset added to regression labels on the Paillier carriers so
+// they stay small non-negative values: a negative one would be encoded
+// near p, and its product with an enhanced child mask (up to m^2·b·p^2 as
+// an integer) would wrap a 384-bit plaintext space. Every converted
+// statistic drops the offset again in the share domain (trainer.cc,
+// UnshiftRegressionStats). Regression labels must satisfy
+// |y| < kRegressionLabelOffset - 1; both federation runners reject other
+// labels before any party starts (pivot/runner.h).
+constexpr int64_t kRegressionLabelOffset = 64;
+
 // Differential-privacy settings (Section 9.2). When enabled, the pruning
 // count check uses Laplace noise, the best split is chosen with the
 // exponential mechanism, and leaf statistics are noised; the per-tree
@@ -45,8 +55,9 @@ struct PivotParams {
 
   // Threshold Paillier modulus bits. 512 matches the paper's accuracy
   // experiments; the paper's efficiency default is 1024. Must satisfy the
-  // plaintext-headroom requirement checked in trainer.cc (>= 384 for the
-  // enhanced protocol / GBDT, >= 256 for the basic protocol).
+  // plaintext-headroom requirement checked in trainer.cc (MinimumKeyBits:
+  // >= 384 for the enhanced protocol, >= 320 for GBDT, >= 192 for the
+  // basic protocol).
   int key_bits = 512;
 
   // Per-call fan-out cap for every batched crypto kernel — encryption,

@@ -1,5 +1,7 @@
 #include "pivot/runner.h"
 
+#include <cmath>
+
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "crypto/threshold_paillier.h"
@@ -34,6 +36,23 @@ Status RunPartyBody(const VerticalPartition& partition,
                    cfg.params);
   ctx.set_checkpoint(store);
   return body(ctx);
+}
+
+// Regression labels ride the Paillier carriers shifted by
+// kRegressionLabelOffset (pivot/params.h). A label outside the bound
+// would wrap the enhanced protocol's plaintext space and fail deep inside
+// training, so both runners check the labels before any party exists.
+Status ValidateLabels(const PivotParams& params,
+                      const std::vector<double>& labels) {
+  if (params.tree.task != TreeTask::kRegression) return Status::Ok();
+  constexpr int64_t bound = kRegressionLabelOffset - 1;
+  for (double y : labels) {
+    if (!(std::abs(y) < static_cast<double>(bound))) {
+      return Status::InvalidArgument("regression labels must satisfy |y| < " +
+                                     std::to_string(bound));
+    }
+  }
+  return Status::Ok();
 }
 
 // One attempt over a fresh mesh running `plan`: returns the attempt's
@@ -72,6 +91,7 @@ Status RunFederationPartitioned(
   // Checked here, before any party exists, so a bad setting is an error
   // for the caller rather than PartyContext's invariant check.
   PIVOT_RETURN_IF_ERROR(ValidateCryptoThreads(cfg.params.crypto_threads));
+  PIVOT_RETURN_IF_ERROR(ValidateLabels(cfg.params, partition.labels));
 
   // Keys and checkpoint stores outlive attempts, as a rebooted party
   // would reload both from its own disk.
@@ -104,6 +124,7 @@ Status RunPartyFederation(const VerticalPartition& partition,
   PIVOT_CHECK(cfg.super_client >= 0 && cfg.super_client < m);
   PIVOT_CHECK(static_cast<int>(partition.views.size()) == m);
   PIVOT_RETURN_IF_ERROR(ValidateCryptoThreads(cfg.params.crypto_threads));
+  PIVOT_RETURN_IF_ERROR(ValidateLabels(cfg.params, partition.labels));
 
   const ThresholdPaillier keys = FederationKeys(cfg.params, m);
   // With a persist path the store also outlives the process, which is

@@ -25,7 +25,10 @@ namespace pivot {
 //       socket transport (net/socket.h); what `pivot_cli party` runs.
 //
 // Because partitioning, keys and randomness depend on nothing but the
-// data and the params, both runners train bit-identical models.
+// data and the params, both runners train bit-identical models. Both
+// return InvalidArgument before any party starts when a setting cannot
+// run: crypto_threads out of range, or a regression task with a label
+// outside |y| < kRegressionLabelOffset - 1 (pivot/params.h).
 
 // Settings both runners carry.
 struct RunnerConfig {

@@ -11,17 +11,18 @@ namespace pivot {
 // (the MPC computation step of Section 4.1 / 4.2), shared by the Pivot
 // trainer and the SPDZ-DT baseline.
 //
-// Input layout (all additive shares):
-//   stats[slot][split]:
-//     classification: slot 0/1 = n_l/n_r (integer counts),
-//                     slot 2+2k / 3+2k = g_{l,k} / g_{r,k} (counts)
-//     regression:     slots = n_l, n_r, S_l, S_r, Q_l, Q_r
-//                     (S/Q fixed-point sums of labels / squared labels)
-//   agg: node aggregates: {count, g_0..g_{c-1}} or {count, S, Q}.
+// Input layout (all additive shares), one for both tasks:
+//   stats[slot][split]: slot 0/1 = n_l/n_r (integer counts), slot
+//     2+2k / 3+2k = left/right sums of label vector k. Classification has
+//     c vectors (class-k counts); regression has one (fixed-point label
+//     sums S), so per split 2 + 2·(regression ? 1 : c) slots.
+//   agg: node aggregates {count, sum of each label vector}.
 //
 // Output: per-split scores (fixed point) whose secure argmax selects the
 // best split; full gain of a split = score - node_term (test against
-// min_gain before splitting).
+// min_gain before splitting). Regression scores are already the full
+// Eqn. 6 gain, (S_l^2/n_l + S_r^2/n_r - S^2/n) / n, since
+// Q_l + Q_r = Q cancels the sums of squared labels; node_term is 0.
 struct SecureGainResult {
   std::vector<u128> scores;
   u128 node_term = 0;
@@ -29,7 +30,7 @@ struct SecureGainResult {
 
 Result<SecureGainResult> ComputeSecureGains(
     MpcEngine& eng, const std::vector<std::vector<u128>>& stats,
-    const std::vector<u128>& agg, bool regression, int num_classes);
+    const std::vector<u128>& agg, bool regression);
 
 }  // namespace pivot
 

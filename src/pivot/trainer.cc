@@ -36,18 +36,9 @@ struct Block {
 };
 
 // Training-checkpoint snapshot framing ('PVCK'); format in checkpoint.h.
-// Version 3 embeds the tree as a PVT2 blob (pivot/serialize.h).
+// Version 4: each pending NodeState carries one label vector (gamma).
 constexpr uint32_t kCheckpointMagic = 0x5056434B;
-constexpr uint32_t kCheckpointVersion = 3;
-
-// Public offset added to regression labels on the Paillier carriers so
-// they stay small non-negative values: a negative one would be encoded
-// near p, and its product with an enhanced child mask (up to m^2·b·p^2 as
-// an integer) would wrap a 384-bit plaintext space. Every converted
-// statistic drops the offset again in the share domain
-// (UnshiftRegressionStats). Labels must satisfy
-// |y| < kRegressionLabelOffset - 1.
-constexpr int64_t kRegressionLabelOffset = 64;
+constexpr uint32_t kCheckpointVersion = 4;
 
 class TreeTrainer {
  public:
@@ -94,10 +85,8 @@ class TreeTrainer {
       }
       PIVOT_ASSIGN_OR_RETURN(root.alpha, ctx_.EncryptBatch(weights));
       if (opts_.encrypted_labels.has_value()) {
-        root.gamma1 = opts_.encrypted_labels->y;
-        root.gamma2 = opts_.encrypted_labels->y_sq;
-        if (static_cast<int>(root.gamma1.size()) != n_ ||
-            static_cast<int>(root.gamma2.size()) != n_) {
+        root.gamma = opts_.encrypted_labels->y;
+        if (static_cast<int>(root.gamma.size()) != n_) {
           return Status::InvalidArgument("encrypted label vector size mismatch");
         }
       }
@@ -137,8 +126,8 @@ class TreeTrainer {
  private:
   struct NodeState {
     std::vector<Ciphertext> alpha;
-    // GBDT encrypted-label mode only: [Y ∘ alpha], [Y^2 ∘ alpha].
-    std::vector<Ciphertext> gamma1, gamma2;
+    // GBDT encrypted-label mode only: [Y ∘ alpha].
+    std::vector<Ciphertext> gamma;
     std::vector<std::vector<bool>> available;  // [client][local feature]
     int depth = 0;
   };
@@ -225,14 +214,16 @@ class TreeTrainer {
   // ----- Per-node steps ---------------------------------------------------
 
   // The super client's local computation (Section 4.1 / 4.2): encrypted
-  // per-class indicator vectors [gamma_k] (classification) or encrypted
-  // label / label-square vectors (regression), broadcast to all.
+  // per-class indicator vectors [gamma_k] (classification) or the
+  // encrypted label vector (regression), broadcast to all.
   Result<std::vector<std::vector<Ciphertext>>> ComputeGammas(
       const NodeState& node) {
     if (enc_label_mode()) {
-      return std::vector<std::vector<Ciphertext>>{node.gamma1, node.gamma2};
+      return std::vector<std::vector<Ciphertext>>{node.gamma};
     }
-    const int vectors = regression_ ? 2 : c_;
+    // The task only picks the label encoding: one-hot class indicators,
+    // or one vector of shifted label values.
+    const int vectors = regression_ ? 1 : c_;
     std::vector<std::vector<Ciphertext>> gammas(vectors);
     if (ctx_.is_super()) {
       const std::vector<double>& y = ctx_.labels();
@@ -245,8 +236,7 @@ class TreeTrainer {
             // the converted shares.
             const double shifted =
                 y[t] + static_cast<double>(kRegressionLabelOffset);
-            const double v = (k == 0) ? shifted : shifted * shifted;
-            betas[t] = FpToBigInt(FpFromSigned(FixedFromDouble(v)));
+            betas[t] = FpToBigInt(FpFromSigned(FixedFromDouble(shifted)));
           } else {
             // Constant-time one-hot: no label-steered branch, the match
             // bit comes from a CT compare (see common/ct.h).
@@ -271,19 +261,15 @@ class TreeTrainer {
     return gammas;
   }
 
-  // Removes ComputeGammas' label shift o from converted regression
-  // statistics, exactly and with local share arithmetic only. Over n rows
-  // the carriers hold S' = S + o·n and Q' = Q + 2o·S + o²·n (S, Q fixed
-  // point, n an integer count), so S = S' - o·n and Q = Q' - 2o·S - o²·n.
+  // Removes ComputeGammas' label shift o from a converted regression
+  // label sum, exactly and with local share arithmetic only: over n rows
+  // the carrier holds S' = S + o·n (S fixed point, n an integer count).
   // Left in place, the shift would scale the f-bit reciprocal error of the
-  // variance terms by about o². GBDT's encrypted residuals carry no shift.
-  void UnshiftRegressionStats(u128 n, u128& s, u128& q) const {
+  // gain terms by about o². GBDT's encrypted residuals carry no shift.
+  void UnshiftRegressionStats(u128 n, u128& s) const {
     if (enc_label_mode()) return;
-    constexpr int64_t o = kRegressionLabelOffset;
-    s = FpSub(s, MpcEngine::MulPub(n, static_cast<u128>(o) << kFracBits));
-    q = FpSub(q, FpAdd(MpcEngine::MulPub(s, static_cast<u128>(2 * o)),
-                       MpcEngine::MulPub(n, static_cast<u128>(o * o)
-                                                << kFracBits)));
+    s = FpSub(s, MpcEngine::MulPub(n, static_cast<u128>(kRegressionLabelOffset)
+                                          << kFracBits));
   }
 
   // Homomorphic sum of a broadcast ciphertext vector (local, identical on
@@ -313,7 +299,7 @@ class TreeTrainer {
 
   // Leaf construction (lines 1-3 of Algorithm 3). `agg` holds the node
   // aggregate shares: classification {count, g_0..g_{c-1}},
-  // regression {count, S, Q}.
+  // regression {count, S}.
   Result<int> MakeLeaf(const std::vector<u128>& agg, NodeState& node) {
     PivotNode leaf;
     leaf.is_leaf = true;
@@ -366,11 +352,12 @@ class TreeTrainer {
 
   // Local computation + conversion: encrypted split statistics for all
   // available splits, converted to shares in the global flat order.
-  // Classification layout per split: n_l, n_r, g_l0..g_l{c-1}, g_r0.. .
-  // Regression layout per split: n_l, n_r, S_l, S_r, Q_l, Q_r.
+  // Layout per split (pivot/secure_gain.h): n_l, n_r, then a left/right
+  // pair per label vector: g_l0, g_r0, g_l1, ... or S_l, S_r.
   Result<std::vector<std::vector<u128>>> ComputeSplitStatShares(
       const NodeState& node, const std::vector<Block>& blocks,
-      const std::vector<std::vector<Ciphertext>>& gammas, int per_split) {
+      const std::vector<std::vector<Ciphertext>>& gammas) {
+    const int per_split = 2 + 2 * static_cast<int>(gammas.size());
     // This party's stat ciphertexts for its own blocks, flattened
     // split-major: [split][slot]. They are computed once, before the
     // conversion loop, so no party's local work waits on the conversions
@@ -423,20 +410,13 @@ class TreeTrainer {
         }
       }
     }
-    if (regression_) {  // slots n_l, n_r, S_l, S_r, Q_l, Q_r
+    if (regression_) {  // slots n_l, n_r, S_l, S_r
       for (size_t s = 0; s < stats[0].size(); ++s) {
-        UnshiftRegressionStats(stats[0][s], stats[2][s], stats[4][s]);
-        UnshiftRegressionStats(stats[1][s], stats[3][s], stats[5][s]);
+        UnshiftRegressionStats(stats[0][s], stats[2][s]);
+        UnshiftRegressionStats(stats[1][s], stats[3][s]);
       }
     }
     return stats;
-  }
-
-  // MPC gain computation delegated to the shared secure-gain module.
-  Result<SecureGainResult> ComputeGains(
-      const std::vector<std::vector<u128>>& stats,
-      const std::vector<u128>& agg) {
-    return ComputeSecureGains(eng(), stats, agg, regression_, c_);
   }
 
   // ----- Model update -------------------------------------------------------
@@ -471,10 +451,8 @@ class TreeTrainer {
       PIVOT_ASSIGN_OR_RETURN(*alpha_l, masked(bl, node.alpha));
       PIVOT_ASSIGN_OR_RETURN(*alpha_r, masked(br, node.alpha));
       if (enc_label_mode()) {
-        PIVOT_ASSIGN_OR_RETURN(left->gamma1, masked(bl, node.gamma1));
-        PIVOT_ASSIGN_OR_RETURN(left->gamma2, masked(bl, node.gamma2));
-        PIVOT_ASSIGN_OR_RETURN(right->gamma1, masked(br, node.gamma1));
-        PIVOT_ASSIGN_OR_RETURN(right->gamma2, masked(br, node.gamma2));
+        PIVOT_ASSIGN_OR_RETURN(left->gamma, masked(bl, node.gamma));
+        PIVOT_ASSIGN_OR_RETURN(right->gamma, masked(br, node.gamma));
       }
       // Broadcast threshold + masks.
       ByteWriter w;
@@ -487,13 +465,9 @@ class TreeTrainer {
     }
     PIVOT_ASSIGN_OR_RETURN(*alpha_l, BroadcastFrom(owner, *alpha_l));
     PIVOT_ASSIGN_OR_RETURN(*alpha_r, BroadcastFrom(owner, *alpha_r));
-    if (enc_label_mode()) {  // residual-label vectors follow the masks
-      PIVOT_ASSIGN_OR_RETURN(left->gamma1, BroadcastFrom(owner, left->gamma1));
-      PIVOT_ASSIGN_OR_RETURN(left->gamma2, BroadcastFrom(owner, left->gamma2));
-      PIVOT_ASSIGN_OR_RETURN(right->gamma1,
-                             BroadcastFrom(owner, right->gamma1));
-      PIVOT_ASSIGN_OR_RETURN(right->gamma2,
-                             BroadcastFrom(owner, right->gamma2));
+    if (enc_label_mode()) {  // the residual-label vector follows the masks
+      PIVOT_ASSIGN_OR_RETURN(left->gamma, BroadcastFrom(owner, left->gamma));
+      PIVOT_ASSIGN_OR_RETURN(right->gamma, BroadcastFrom(owner, right->gamma));
     }
     return Status::Ok();
   }
@@ -668,7 +642,7 @@ class TreeTrainer {
     for (const auto& gamma : gammas) agg_cts.push_back(SumCiphertexts(gamma));
     PIVOT_ASSIGN_OR_RETURN(std::vector<u128> agg,
                            ctx_.CiphertextsToShares(agg_cts, 0));
-    if (regression_) UnshiftRegressionStats(agg[0], agg[1], agg[2]);
+    if (regression_) UnshiftRegressionStats(agg[0], agg[1]);
 
     // Public prune conditions.
     std::vector<SplitRef> refs;
@@ -700,14 +674,12 @@ class TreeTrainer {
     }
 
     // Local computation + conversion of all split statistics.
-    const int per_split = regression_ ? 6 : 2 + 2 * c_;
-    PIVOT_ASSIGN_OR_RETURN(
-        std::vector<std::vector<u128>> stats,
-        ComputeSplitStatShares(node, blocks, gammas, per_split));
+    PIVOT_ASSIGN_OR_RETURN(std::vector<std::vector<u128>> stats,
+                           ComputeSplitStatShares(node, blocks, gammas));
 
     // Secure gain computation.
     PIVOT_ASSIGN_OR_RETURN(SecureGainResult gains,
-                           ComputeGains(stats, agg));
+                           ComputeSecureGains(eng(), stats, agg, regression_));
 
     // Best split: secure argmax (or the exponential mechanism under DP).
     u128 best_index;
@@ -843,8 +815,7 @@ class TreeTrainer {
     left.depth = right.depth = node.depth + 1;
     // Free the parent's mask before the children are enqueued.
     node.alpha.clear();
-    node.gamma1.clear();
-    node.gamma2.clear();
+    node.gamma.clear();
 
     ProcessedNode out;
     out.id = id;
@@ -862,8 +833,7 @@ class TreeTrainer {
 
   static void WriteNodeState(const NodeState& st, ByteWriter& w) {
     w.WriteBytes(EncodeCiphertextVector(st.alpha));
-    w.WriteBytes(EncodeCiphertextVector(st.gamma1));
-    w.WriteBytes(EncodeCiphertextVector(st.gamma2));
+    w.WriteBytes(EncodeCiphertextVector(st.gamma));
     w.WriteU64(st.available.size());
     for (const auto& bits : st.available) {
       w.WriteU64(bits.size());
@@ -876,10 +846,8 @@ class TreeTrainer {
     NodeState st;
     PIVOT_ASSIGN_OR_RETURN(Bytes alpha, r.ReadBytes());
     PIVOT_ASSIGN_OR_RETURN(st.alpha, DecodeCiphertextVector(alpha));
-    PIVOT_ASSIGN_OR_RETURN(Bytes gamma1, r.ReadBytes());
-    PIVOT_ASSIGN_OR_RETURN(st.gamma1, DecodeCiphertextVector(gamma1));
-    PIVOT_ASSIGN_OR_RETURN(Bytes gamma2, r.ReadBytes());
-    PIVOT_ASSIGN_OR_RETURN(st.gamma2, DecodeCiphertextVector(gamma2));
+    PIVOT_ASSIGN_OR_RETURN(Bytes gamma, r.ReadBytes());
+    PIVOT_ASSIGN_OR_RETURN(st.gamma, DecodeCiphertextVector(gamma));
     PIVOT_ASSIGN_OR_RETURN(uint64_t clients, r.ReadU64());
     st.available.resize(clients);
     for (uint64_t i = 0; i < clients; ++i) {
@@ -1022,7 +990,7 @@ class TreeTrainer {
 
 // Minimum Paillier key size for the given protocol/options. Plaintext
 // headroom: carried values stay below m^2·b·p^2 (enhanced) or
-// n·(2^2f·y_max^2 + m·p) (basic); see DESIGN.md §3.
+// n·(2^f·y_max + m·p) (basic); see DESIGN.md §3.
 int MinimumKeyBits(const TrainTreeOptions& options) {
   if (options.protocol == Protocol::kEnhanced) return 384;
   if (options.encrypted_labels.has_value()) return 320;

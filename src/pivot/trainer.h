@@ -11,12 +11,12 @@ namespace pivot {
 
 // Encrypted per-sample label state for GBDT rounds (Section 7.2): the
 // residual labels of round w exist only in encrypted / shared form. When
-// provided, the trainer runs in regression mode with
-// gamma_1 = [Y ∘ alpha] and gamma_2 = [Y^2 ∘ alpha] maintained recursively
-// by the winning client instead of recomputed by the super client.
+// provided, the trainer runs in regression mode with gamma = [Y ∘ alpha]
+// maintained recursively by the winning client instead of recomputed by
+// the super client. Regression splits are scored from label sums alone
+// (pivot/secure_gain.h).
 struct EncryptedLabelState {
-  std::vector<Ciphertext> y;     // [Y_w],   fixed-point plaintexts
-  std::vector<Ciphertext> y_sq;  // [Y_w^2], fixed-point plaintexts
+  std::vector<Ciphertext> y;  // [Y_w], fixed-point plaintexts
 };
 
 // Options of one federated tree-training run.

@@ -35,6 +35,7 @@
 #include "mpc/engine.h"
 #include "net/fault.h"
 #include "net/network.h"
+#include "pivot/ensemble.h"
 #include "pivot/prediction.h"
 #include "pivot/runner.h"
 #include "pivot/serialize.h"
@@ -286,19 +287,29 @@ TEST(ChaosTest, ServingSweep) {
 // the recovered run must be *bit-identical* to the fault-free run.
 // ---------------------------------------------------------------------------
 
-// Trains one basic-protocol tree per party and captures each party's tree
-// digest into `prints[party]`. The model codec writes every field, so runs
-// that agree on these digests agree on every bit of trained state.
+// Trains a model on one party and returns its serialized form.
+using TrainModel = std::function<Result<Bytes>(PartyContext&)>;
+
+Result<Bytes> TrainBasicTree(PartyContext& ctx) {
+  TrainTreeOptions opts;
+  opts.protocol = Protocol::kBasic;
+  PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
+  return SerializePivotTree(tree);
+}
+
+// Trains one model per party (a basic-protocol tree unless `train` says
+// otherwise) and captures each party's model digest into
+// `prints[party]`. The model codecs write every field, so runs that agree
+// on these digests agree on every bit of trained state.
 Status TrainAndFingerprint(const Dataset& data, const FederationConfig& cfg,
                            std::vector<Bytes>* prints,
-                           NetworkStats* stats = nullptr) {
+                           NetworkStats* stats = nullptr,
+                           const TrainModel& train = TrainBasicTree) {
   prints->assign(kParties, {});
   std::mutex mu;
   return RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
-    TrainTreeOptions opts;
-    opts.protocol = Protocol::kBasic;
-    PIVOT_ASSIGN_OR_RETURN(PivotTree tree, TrainPivotTree(ctx, opts));
-    const auto digest = Sha256::Hash(SerializePivotTree(tree));
+    PIVOT_ASSIGN_OR_RETURN(Bytes model, train(ctx));
+    const auto digest = Sha256::Hash(model);
     std::lock_guard<std::mutex> lock(mu);
     (*prints)[ctx.id()] = Bytes(digest.begin(), digest.end());
     return Status::Ok();
@@ -490,6 +501,46 @@ TEST(ChaosRecoveryTest, CrashRecoveryBitMatchesWithParallelCrypto) {
   for (int p = 0; p < kParties; ++p) {
     EXPECT_EQ(prints[p], baseline[p])
         << "party " << p << " diverged under parallel crypto + restart";
+  }
+}
+
+// A GBDT regression tree carries the encrypted residual vector [Y ∘ alpha]
+// in every pending node, so its snapshots are the only ones whose gamma
+// vector is non-empty. A one-round TrainPivotGbdt crashed past the root's
+// snapshot must restore that vector and still bit-match the fault-free
+// ensemble.
+TEST(ChaosRecoveryTest, GbdtRegressionCrashRecoveryBitMatches) {
+  RegressionSpec spec;
+  spec.num_samples = 16;
+  spec.num_features = 6;
+  spec.seed = 17;
+  const Dataset data = MakeRegression(spec);
+  FederationConfig base = RecoveryConfig();
+  base.params.tree.task = TreeTask::kRegression;
+  base.params.key_bits = 320;  // GBDT's minimum (trainer.cc)
+  const TrainModel gbdt = [](PartyContext& ctx) -> Result<Bytes> {
+    EnsembleOptions opts;
+    opts.num_trees = 1;
+    PIVOT_ASSIGN_OR_RETURN(PivotEnsemble model, TrainPivotGbdt(ctx, opts));
+    return SerializePivotEnsemble(model);
+  };
+  std::vector<Bytes> baseline;
+  NetworkStats fault_free;
+  ASSERT_TRUE(
+      TrainAndFingerprint(data, base, &baseline, &fault_free, gbdt).ok());
+  FederationConfig cfg = base;
+  cfg.fault_plan = CrashAfterRootPlan(0x3F000000ULL, fault_free);
+  cfg.max_restarts = 2;
+  std::vector<Bytes> prints;
+  const uint64_t restores = OpCounters::Global().checkpoint_restores();
+  const Status st = TrainAndFingerprint(data, cfg, &prints, nullptr, gbdt);
+  ASSERT_TRUE(st.ok()) << st.ToString()
+                       << "\nplan: " << cfg.fault_plan.ToString();
+  EXPECT_GT(OpCounters::Global().checkpoint_restores(), restores)
+      << "the crash did not resume from a checkpoint";
+  for (int p = 0; p < kParties; ++p) {
+    EXPECT_EQ(prints[p], baseline[p])
+        << "party " << p << " diverged after a GBDT resume";
   }
 }
 

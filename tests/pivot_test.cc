@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <mutex>
 
@@ -426,6 +427,40 @@ TEST(PivotEnhancedTest, RegressionLeafSharesOpenToCartLeaves) {
   for (size_t i = 0; i < cart_leaves.size(); ++i) {
     EXPECT_NEAR(pivot_leaves[i], cart_leaves[i], 0.01) << "leaf " << i;
   }
+}
+
+// Regression labels ride the Paillier carriers shifted by
+// kRegressionLabelOffset; past |y| < 63 an enhanced tree would wrap the
+// plaintext space and fail mid-training with an opaque protocol error.
+// Both runners reject such labels up front, before any party starts.
+TEST(PivotEnhancedTest, OutOfRangeRegressionLabelsRejected) {
+  Dataset data = SmallRegression(40, 6, 3);
+  for (double& y : data.labels) y *= 10.0;  // range about [-100, 100]
+  PivotParams params = TestParams(TreeTask::kRegression, 2, /*key_bits=*/384);
+  FederationConfig cfg;
+  cfg.num_parties = 3;
+  cfg.params = params;
+  std::atomic<bool> ran{false};
+  const Status st = RunFederation(data, cfg, [&](PartyContext& ctx) -> Status {
+    ran = true;
+    TrainTreeOptions opts;
+    opts.protocol = Protocol::kEnhanced;
+    return TrainPivotTree(ctx, opts).status();
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("|y| < 63"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(ran);
+
+  // The socket runner checks before it binds: no address is touched.
+  PartyConfig party;
+  party.params = params;
+  party.addresses = {"unix:unused0", "unix:unused1", "unix:unused2"};
+  const Status party_st = RunPartyFederation(
+      PartitionVertically(data, 3), party,
+      [](PartyContext&) { return Status::Ok(); });
+  EXPECT_EQ(party_st.code(), StatusCode::kInvalidArgument)
+      << party_st.ToString();
 }
 
 TEST(PivotEnsembleTest, RandomForestClassification) {

@@ -24,11 +24,12 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
   const int m = 2;
   Rng data_rng(seed);
 
-  // Random node statistics.
+  // Random node statistics. Both tasks share one layout: n_l, n_r, then
+  // a left/right pair per label vector (one vector for regression).
   const int t_count = 6;
-  const int per_split = regression ? 6 : 2 + 2 * num_classes;
+  const int per_split = 2 + 2 * (regression ? 1 : num_classes);
 
-  // Plain values: [slot][split] (counts; sums for regression).
+  // Plain values: [slot][split] (counts; label sums for regression).
   std::vector<std::vector<double>> plain(per_split,
                                          std::vector<double>(t_count));
   std::vector<double> node_count(t_count, 0);
@@ -66,6 +67,9 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
     }
   } else {
     // Fixed node population of labeled samples; random split assignment.
+    // Split 0 sends every sample left and split 1 every sample right: an
+    // empty side occurs below the root whenever a candidate threshold
+    // lies outside the node's samples.
     const int n = 40;
     std::vector<double> ys(n);
     for (double& y : ys) y = data_rng.NextGaussian() * 3.0;
@@ -77,18 +81,19 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
     for (int s = 0; s < t_count; ++s) {
       double nl = 0, sl = 0, ql = 0;
       for (int t = 0; t < n; ++t) {
-        if (data_rng.NextBelow(2)) {
+        const bool left = s == 0 || (s > 1 && data_rng.NextBelow(2) == 1);
+        if (left) {
           nl += 1;
           sl += ys[t];
           ql += ys[t] * ys[t];
         }
       }
+      // The secure side sees no sums of squares; the plaintext reference
+      // still scores the split from them.
       plain[0][s] = nl;
       plain[1][s] = total - nl;
       plain[2][s] = sl;
       plain[3][s] = node_sum - sl;
-      plain[4][s] = ql;
-      plain[5][s] = node_sumsq - ql;
       expected[s] = VarianceGain(nl, sl, ql, total - nl, node_sum - sl,
                                  node_sumsq - ql);
     }
@@ -118,7 +123,6 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
       vals.push_back(static_cast<i128>(std::llround(total)));
       if (regression) {
         vals.push_back(FixedFromDouble(node_sum));
-        vals.push_back(FixedFromDouble(node_sumsq));
       } else {
         for (int k = 0; k < num_classes; ++k) {
           double g = 0;
@@ -132,7 +136,7 @@ void RunGainCheck(bool regression, int num_classes, uint64_t seed) {
 
     PIVOT_ASSIGN_OR_RETURN(
         SecureGainResult gains,
-        ComputeSecureGains(eng, stats, agg, regression, num_classes));
+        ComputeSecureGains(eng, stats, agg, regression));
     PIVOT_ASSIGN_OR_RETURN(std::vector<u128> scores,
                            eng.OpenVec(gains.scores));
     PIVOT_ASSIGN_OR_RETURN(u128 node_term, eng.Open(gains.node_term));
@@ -169,6 +173,7 @@ TEST(SecureGainTest, VarianceGainMatchesPlaintext) {
 TEST(SecureGainTest, MultipleSeeds) {
   for (uint64_t seed : {21u, 22u, 23u}) {
     RunGainCheck(false, 3, seed);
+    RunGainCheck(/*regression=*/true, 1, seed);
   }
 }
 
@@ -191,7 +196,7 @@ TEST(SecureGainTest, EmptyChildGivesNoAdvantage) {
     std::vector<u128> agg;
     PIVOT_ASSIGN_OR_RETURN(agg, eng.InputVector(0, {10, 6, 4}, 3));
     PIVOT_ASSIGN_OR_RETURN(SecureGainResult gains,
-                           ComputeSecureGains(eng, stats, agg, false, 2));
+                           ComputeSecureGains(eng, stats, agg, false));
     PIVOT_ASSIGN_OR_RETURN(u128 score, eng.Open(gains.scores[0]));
     PIVOT_ASSIGN_OR_RETURN(u128 node, eng.Open(gains.node_term));
     const double full =
