@@ -1,76 +1,95 @@
-// Micro-benchmarks of the from-scratch bignum substrate (google-benchmark).
+// Micro-benchmarks of the Montgomery kernels behind every Paillier and PSI
+// operation, at the moduli the perfbench workloads use: n^2 of a 256-bit
+// key (train-wide, serve; 512 bits, 8 limbs), n^2 of a 384-bit key
+// (train-splits; 768 bits, 12 limbs) and a 1536-bit PSI group modulus
+// (24 limbs) with a 1535-bit exponent. Each row is the median of `reps`
+// timed loops. Results go to bench_results/bench_micro_bigint.json.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
 
-#include "bigint/bigint.h"
-#include "bigint/prime.h"
-#include "common/rng.h"
+#include "bench/bench_util.h"
+#include "crypto/paillier.h"
 
-namespace pivot {
+using namespace pivot;
+using namespace pivot::bench;
+
 namespace {
 
-BigInt RandomOdd(int bits, Rng& rng) {
-  BigInt v = BigInt::RandomBits(bits, rng);
-  if (!v.IsOdd()) v = v + BigInt(1);
-  if (v < BigInt(3)) v = BigInt(3);
-  return v;
+// Median over `reps` loops of `inner` calls, in microseconds per call.
+template <typename Fn>
+double MedianUs(int reps, int inner, const Fn& fn) {
+  std::vector<double> us;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer timer;
+    for (int i = 0; i < inner; ++i) fn();
+    us.push_back(timer.ElapsedSeconds() * 1e6 / inner);
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
 }
 
-void BM_BigIntMul(benchmark::State& state) {
-  Rng rng(1);
-  const int bits = static_cast<int>(state.range(0));
-  BigInt a = BigInt::RandomBits(bits, rng);
-  BigInt b = BigInt::RandomBits(bits, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a * b);
-  }
-}
-BENCHMARK(BM_BigIntMul)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
-
-void BM_BigIntDivMod(benchmark::State& state) {
-  Rng rng(2);
-  const int bits = static_cast<int>(state.range(0));
-  BigInt a = BigInt::RandomBits(2 * bits, rng);
-  BigInt b = BigInt::RandomBits(bits, rng) + BigInt(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.DivMod(b));
-  }
-}
-BENCHMARK(BM_BigIntDivMod)->Arg(256)->Arg(512)->Arg(1024);
-
-void BM_MontgomeryModExp(benchmark::State& state) {
-  Rng rng(3);
-  const int bits = static_cast<int>(state.range(0));
-  BigInt m = RandomOdd(bits, rng);
-  MontgomeryContext ctx(m);
-  BigInt base = BigInt::RandomBelow(m, rng);
-  BigInt exp = BigInt::RandomBits(bits, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.ModExp(base, exp));
-  }
-}
-BENCHMARK(BM_MontgomeryModExp)->Arg(512)->Arg(1024)->Arg(2048);
-
-void BM_ModInverse(benchmark::State& state) {
-  Rng rng(4);
-  BigInt m = RandomOdd(512, rng);
-  BigInt a = BigInt::RandomBelow(m, rng) + BigInt(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.ModInverse(m));
-  }
-}
-BENCHMARK(BM_ModInverse);
-
-void BM_MillerRabin(benchmark::State& state) {
-  Rng rng(5);
-  BigInt p = GeneratePrime(static_cast<int>(state.range(0)), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsProbablePrime(p, 10, rng));
-  }
-}
-BENCHMARK(BM_MillerRabin)->Arg(128)->Arg(256);
+struct Modulus {
+  const char* name;
+  BigInt m;
+  std::vector<int> exp_bits;  // exponent widths timed for ModExp
+};
 
 }  // namespace
-}  // namespace pivot
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const int reps = args.tiny ? 3 : 9;
+  const int scale = args.tiny ? 1 : 10;  // inner-loop multiplier
+
+  Rng rng(1);
+  std::vector<Modulus> moduli;
+  // Paillier n^2. ModExp exponents: n (encryption randomness r^n) and
+  // twice that (a partial-decryption share is about n·lambda).
+  for (int key_bits : {256, 384}) {
+    const PaillierKeyPair keys = GeneratePaillierKeyPair(key_bits, rng);
+    moduli.push_back({key_bits == 256 ? "paillier_n2_256" : "paillier_n2_384",
+                      keys.pk.n_squared(), {key_bits, 2 * key_bits}});
+  }
+  BigInt group = BigInt::RandomBits(1535, rng) + (BigInt(1) << 1535);
+  if (!group.IsOdd()) group += BigInt(1);
+  moduli.push_back({"psi_group_1536", group, {1535}});
+
+  std::vector<JsonObject> rows;
+  std::printf("%-16s %6s %6s %-10s %8s %12s\n", "modulus", "bits", "limbs",
+              "operation", "exp_bits", "us/op");
+  for (const Modulus& mod : moduli) {
+    const MontgomeryContext ctx(mod.m);
+    const BigInt a = BigInt::RandomBelow(mod.m, rng);
+    const BigInt b = BigInt::RandomBelow(mod.m, rng);
+    const BigInt ma = ctx.ToMontgomery(a);
+    const BigInt mb = ctx.ToMontgomery(b);
+    auto report = [&](const char* op, int exp_bits, double us) {
+      std::printf("%-16s %6d %6zu %-10s %8d %12.3f\n", mod.name,
+                  mod.m.BitLength(), mod.m.limbs().size(), op, exp_bits, us);
+      JsonObject row;
+      row.Set("modulus", mod.name)
+          .Set("modulus_bits", mod.m.BitLength())
+          .Set("limbs", static_cast<uint64_t>(mod.m.limbs().size()))
+          .Set("operation", op)
+          .Set("exp_bits", exp_bits)
+          .Set("us_per_op", us);
+      rows.push_back(row);
+    };
+    report("mont_mul", 0,
+           MedianUs(reps, 1000 * scale, [&] { (void)ctx.MontMul(ma, mb); }));
+    report("mod_mul", 0,
+           MedianUs(reps, 1000 * scale, [&] { (void)ctx.ModMul(a, b); }));
+    for (int bits : mod.exp_bits) {
+      const BigInt exp = BigInt::RandomBits(bits - 1, rng) +
+                         (BigInt(1) << (bits - 1));
+      const int inner = std::max(1, 2 * scale * 512 / bits);
+      report("mod_exp", bits,
+             MedianUs(reps, inner, [&] { (void)ctx.ModExp(a, exp); }));
+    }
+  }
+
+  JsonObject meta;
+  meta.Set("reps", reps);
+  WriteBenchJson("bench_micro_bigint", meta, rows);
+  return 0;
+}

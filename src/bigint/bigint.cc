@@ -523,7 +523,251 @@ BigInt BigInt::RandomBelow(const BigInt& bound, Rng& rng) {
 
 // ---------------------------------------------------------------------------
 // MontgomeryContext
+//
+// Every operation runs on k-limb arrays through Kernel<K>. K is the limb
+// count of one of the widths this repository's moduli have (n^2 of a 128-
+// to 1024-bit Paillier key, the 1536-bit PSI group); K = 0 runs the same
+// loops at the runtime width. A call dispatches on k_ once, keeps all its
+// values in one Workspace (stack arrays for a fixed width, one heap block
+// for a runtime width) and builds one BigInt at the end.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// kValues k-limb values, plus the 2k scratch limbs the runtime-width
+// kernel needs (a fixed-width kernel keeps its scratch in locals).
+template <size_t K, size_t kValues>
+class Workspace {
+ public:
+  explicit Workspace(size_t k) : k_(k) {
+    if constexpr (K == 0) heap_.assign((kValues + 2) * k, 0);
+  }
+
+  uint64_t* operator[](size_t i) { return base() + i * width(); }
+  uint64_t* scratch() { return base() + kValues * width(); }
+
+ private:
+  size_t width() const { return K != 0 ? K : k_; }
+  uint64_t* base() {
+    if constexpr (K == 0) {
+      return heap_.data();
+    } else {
+      return stack_;
+    }
+  }
+
+  size_t k_;
+  uint64_t stack_[K == 0 ? 1 : kValues * K] = {};
+  std::vector<uint64_t> heap_;
+};
+
+// Column accumulator for product scanning: a sum of 64x64-bit products
+// in three limbs (lo holds the low two).
+struct Column {
+  u128 lo = 0;
+  uint64_t hi = 0;
+
+  void Add(uint64_t x, uint64_t y) {
+    const u128 p = static_cast<u128>(x) * y;
+    lo += p;
+    hi += lo < p;
+  }
+  void Add(const Column& o) {
+    lo += o.lo;
+    hi += o.hi + (lo < o.lo);
+  }
+  void Double() {
+    hi = (hi << 1) | static_cast<uint64_t>(lo >> 127);
+    lo <<= 1;
+  }
+  uint64_t Low() const { return static_cast<uint64_t>(lo); }
+  // Moves to the next column: drops the low limb.
+  void Shift() {
+    lo = (lo >> 64) | (static_cast<u128>(hi) << 64);
+    hi = 0;
+  }
+};
+
+// Montgomery multiplication and squaring modulo the k-limb odd modulus n,
+// R = 2^(64k). Operands are k-limb values below n; results are the unique
+// representative below n, so every kernel output is bit-identical to any
+// other correct Montgomery product. The output may alias an input.
+//
+// Both run column by column over a·b + q·n (finely integrated product
+// scanning, Koc, Acar and Kaliski 1996): column i < k picks the quotient
+// limb q[i] that clears it, and columns k..2k hold the result, below 2n.
+// Summing each column in three registers keeps one carry chain per
+// product, where operand scanning stores a limb per product.
+template <size_t K>
+class Kernel {
+ public:
+  Kernel(const uint64_t* n, uint64_t n_prime, size_t k, uint64_t* scratch)
+      : n_(n), n_prime_(n_prime), k_(k), scratch_(scratch) {}
+
+  size_t k() const { return K != 0 ? K : k_; }
+
+  // r = a·b·R^-1 mod n.
+  void Mul(uint64_t* r, const uint64_t* a, const uint64_t* b) const {
+    const size_t k = this->k();
+    uint64_t local[K == 0 ? 1 : 2 * K];
+    uint64_t* q = K != 0 ? local : scratch_;
+    uint64_t* t = q + k;
+    Column col;
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = 0; j <= i; ++j) col.Add(a[j], b[i - j]);
+      for (size_t j = 0; j < i; ++j) col.Add(q[j], n_[i - j]);
+      q[i] = col.Low() * n_prime_;
+      col.Add(q[i], n_[0]);
+      col.Shift();
+    }
+    for (size_t i = k; i < 2 * k; ++i) {
+      for (size_t j = i - k + 1; j < k; ++j) {
+        col.Add(a[j], b[i - j]);
+        col.Add(q[j], n_[i - j]);
+      }
+      t[i - k] = col.Low();
+      col.Shift();
+    }
+    ReduceOnce(r, t, col.Low());
+  }
+
+  // r = a·a·R^-1 mod n. Each column adds its cross products a[j]·a[i-j]
+  // (j < i - j) once, doubled, plus the diagonal: about half the
+  // products of Mul(r, a, a), and equal to it bit for bit.
+  void Sqr(uint64_t* r, const uint64_t* a) const {
+    const size_t k = this->k();
+    uint64_t local[K == 0 ? 1 : 2 * K];
+    uint64_t* q = K != 0 ? local : scratch_;
+    uint64_t* t = q + k;
+    Column col;
+    for (size_t i = 0; i + 1 < 2 * k; ++i) {
+      const size_t lo = i < k ? 0 : i - k + 1;
+      Column cross;
+      for (size_t j = lo; j < i - j; ++j) cross.Add(a[j], a[i - j]);
+      cross.Double();
+      if (i % 2 == 0) cross.Add(a[i / 2], a[i / 2]);
+      col.Add(cross);
+      if (i < k) {
+        for (size_t j = 0; j < i; ++j) col.Add(q[j], n_[i - j]);
+        q[i] = col.Low() * n_prime_;
+        col.Add(q[i], n_[0]);
+      } else {
+        for (size_t j = lo; j < k; ++j) col.Add(q[j], n_[i - j]);
+        t[i - k] = col.Low();
+      }
+      col.Shift();
+    }
+    t[k - 1] = col.Low();  // column 2k - 1 holds only the carry
+    col.Shift();
+    ReduceOnce(r, t, col.Low());
+  }
+
+ private:
+  // r = v - n if v >= n, else v, for v = hi·R + t < 2n. The subtraction
+  // is a mask, not a branch.
+  void ReduceOnce(uint64_t* r, const uint64_t* t, uint64_t hi) const {
+    const size_t k = this->k();
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - n_[j] - borrow;
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+    const uint64_t mask = 0 - ((hi | (borrow ^ 1)) & 1);
+    borrow = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - (n_[j] & mask) - borrow;
+      r[j] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+  }
+
+  const uint64_t* n_;
+  uint64_t n_prime_;
+  size_t k_;
+  uint64_t* scratch_;  // 2k limbs; used only when K == 0
+};
+
+template <size_t K, size_t kValues, typename Fn>
+decltype(auto) RunKernel(const std::vector<uint64_t>& n, uint64_t n_prime,
+                         Fn& fn) {
+  Workspace<K, kValues> ws(n.size());
+  const Kernel<K> kern(n.data(), n_prime, n.size(), ws.scratch());
+  return fn(kern, ws);
+}
+
+// Calls fn(kernel, workspace) with the kernel for the modulus' width and a
+// workspace of kValues values.
+template <size_t kValues, typename Fn>
+decltype(auto) WithKernel(const BigInt& modulus, uint64_t n_prime, Fn&& fn) {
+  const std::vector<uint64_t>& n = modulus.limbs();
+  switch (n.size()) {
+    case 4: return RunKernel<4, kValues>(n, n_prime, fn);
+    case 6: return RunKernel<6, kValues>(n, n_prime, fn);
+    case 8: return RunKernel<8, kValues>(n, n_prime, fn);
+    case 10: return RunKernel<10, kValues>(n, n_prime, fn);
+    case 12: return RunKernel<12, kValues>(n, n_prime, fn);
+    case 16: return RunKernel<16, kValues>(n, n_prime, fn);
+    case 24: return RunKernel<24, kValues>(n, n_prime, fn);
+    case 32: return RunKernel<32, kValues>(n, n_prime, fn);
+    default: return RunKernel<0, kValues>(n, n_prime, fn);
+  }
+}
+
+// Copies v (0 <= v < 2^(64k)) into k zero-padded limbs.
+void CopyLimbs(const BigInt& v, uint64_t* out, size_t k) {
+  const std::vector<uint64_t>& l = v.limbs();
+  std::copy(l.begin(), l.end(), out);
+  std::fill(out + l.size(), out + k, 0);
+}
+
+// Loads a mod m into k = |m| limbs. Values in [0, m) are copied as they
+// are; anything else (negative, or m and above, however wide) is reduced
+// first, so every input has a defined residue.
+void LoadResidue(const BigInt& a, const BigInt& m, uint64_t* out) {
+  const size_t k = m.limbs().size();
+  if (a.IsNegative() || a >= m) {
+    CopyLimbs(a.Mod(m), out, k);
+  } else {
+    CopyLimbs(a, out, k);
+  }
+}
+
+// table[w] = base^w (Montgomery domain) for w in [2, 16), from table[1].
+template <size_t K>
+void FillWindowTable(const Kernel<K>& kern, uint64_t* table) {
+  const size_t k = kern.k();
+  for (size_t w = 2; w < 16; ++w) {
+    if (w % 2 == 0) {
+      kern.Sqr(table + w * k, table + (w / 2) * k);
+    } else {
+      kern.Mul(table + w * k, table + (w - 1) * k, table + k);
+    }
+  }
+}
+
+// acc = base^exp (Montgomery domain) for exp > 0, a fixed 4-bit window
+// ladder over table[w] = base^w, w in [1, 16). The top window is nonzero,
+// so the ladder starts from its table entry rather than from one.
+template <size_t K>
+void WindowLadder(const Kernel<K>& kern, const uint64_t* table,
+                  const BigInt& exp, uint64_t* acc) {
+  const size_t k = kern.k();
+  const std::vector<uint64_t>& e = exp.limbs();
+  // A window never straddles limbs: 4 divides 64.
+  auto window = [&e](int w) -> size_t {
+    const int bit = 4 * w;
+    return (e[bit / 64] >> (bit % 64)) & 0xf;
+  };
+  int w = (exp.BitLength() + 3) / 4 - 1;
+  const uint64_t* top = table + window(w) * k;
+  std::copy(top, top + k, acc);
+  while (w-- > 0) {
+    for (int i = 0; i < 4; ++i) kern.Sqr(acc, acc);
+    if (const size_t d = window(w)) kern.Mul(acc, acc, table + d * k);
+  }
+}
+
+}  // namespace
 
 MontgomeryContext::MontgomeryContext(const BigInt& modulus)
     : modulus_(modulus), k_(modulus.limbs().size()) {
@@ -540,49 +784,20 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   r2_mod_ = r_mod_.ModMul(r_mod_, modulus_);
 }
 
+BigInt MontgomeryContext::FromLimbs(const uint64_t* limbs, size_t k) {
+  BigInt r;
+  r.limbs_.assign(limbs, limbs + k);
+  r.Normalize();
+  return r;
+}
+
 BigInt MontgomeryContext::MontMul(const BigInt& a, const BigInt& b) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  const std::vector<uint64_t>& n = modulus_.limbs();
-  std::vector<uint64_t> t(k_ + 2, 0);
-  const std::vector<uint64_t>& al = a.limbs();
-  const std::vector<uint64_t>& bl = b.limbs();
-
-  for (size_t i = 0; i < k_; ++i) {
-    const uint64_t ai = i < al.size() ? al[i] : 0;
-    // t += ai * b
-    uint64_t carry = 0;
-    for (size_t j = 0; j < k_; ++j) {
-      const uint64_t bj = j < bl.size() ? bl[j] : 0;
-      u128 cur = static_cast<u128>(ai) * bj + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    u128 s = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<uint64_t>(s);
-    t[k_ + 1] = static_cast<uint64_t>(s >> 64);
-
-    // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-    const uint64_t m = t[0] * n_prime_;
-    u128 cur = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<uint64_t>(cur >> 64);
-    for (size_t j = 1; j < k_; ++j) {
-      cur = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    s = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<uint64_t>(s);
-    t[k_] = t[k_ + 1] + static_cast<uint64_t>(s >> 64);
-    t[k_ + 1] = 0;
-  }
-
-  BigInt result;
-  result.limbs_.assign(t.begin(), t.begin() + k_ + 1);
-  result.Normalize();
-  if (BigInt::CompareMagnitude(result, modulus_) >= 0) {
-    result = BigInt::SubMagnitude(result, modulus_);
-  }
-  return result;
+  return WithKernel<2>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    LoadResidue(a, modulus_, ws[0]);
+    LoadResidue(b, modulus_, ws[1]);
+    kern.Mul(ws[0], ws[0], ws[1]);
+    return FromLimbs(ws[0], k_);
+  });
 }
 
 BigInt MontgomeryContext::ToMontgomery(const BigInt& a) const {
@@ -594,42 +809,64 @@ BigInt MontgomeryContext::FromMontgomery(const BigInt& a) const {
 }
 
 BigInt MontgomeryContext::ModMul(const BigInt& a, const BigInt& b) const {
-  return FromMontgomery(MontMul(ToMontgomery(a), ToMontgomery(b)));
+  // MontMul(a·b·R^-1, R^2) = a·b: two products instead of a round trip
+  // through the Montgomery domain.
+  return WithKernel<3>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    LoadResidue(a, modulus_, ws[0]);
+    LoadResidue(b, modulus_, ws[1]);
+    CopyLimbs(r2_mod_, ws[2], k_);
+    kern.Mul(ws[0], ws[0], ws[1]);
+    kern.Mul(ws[0], ws[0], ws[2]);
+    return FromLimbs(ws[0], k_);
+  });
 }
 
 void MontgomeryContext::BuildWindowTable(const BigInt& mbase,
                                          BigInt table[16]) const {
-  table[0] = r_mod_;  // Montgomery representation of 1
-  for (int i = 1; i < 16; ++i) table[i] = MontMul(table[i - 1], mbase);
+  WithKernel<16>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    LoadResidue(mbase, modulus_, ws[1]);
+    FillWindowTable(kern, ws[0]);
+    table[0] = r_mod_;  // Montgomery representation of 1
+    for (size_t w = 1; w < 16; ++w) table[w] = FromLimbs(ws[w], k_);
+  });
 }
 
 BigInt MontgomeryContext::MontExpWithTable(const BigInt table[16],
                                            const BigInt& exp) const {
   PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
   if (exp.IsZero()) return r_mod_;
-  const int bits = exp.BitLength();
-  int top = ((bits + 3) / 4) * 4;  // round up to a window boundary
-  BigInt acc = r_mod_;
-  for (int pos = top - 4; pos >= 0; pos -= 4) {
-    for (int i = 0; i < 4; ++i) acc = MontMul(acc, acc);
-    int window = (exp.TestBit(pos + 3) << 3) | (exp.TestBit(pos + 2) << 2) |
-                 (exp.TestBit(pos + 1) << 1) | exp.TestBit(pos);
-    if (window) acc = MontMul(acc, table[window]);
-  }
-  return acc;
+  return WithKernel<17>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    for (size_t w = 1; w < 16; ++w) LoadResidue(table[w], modulus_, ws[w]);
+    WindowLadder(kern, ws[0], exp, ws[16]);
+    return FromLimbs(ws[16], k_);
+  });
 }
 
 BigInt MontgomeryContext::MontExp(const BigInt& mbase, const BigInt& exp) const {
-  BigInt table[16];
-  BuildWindowTable(mbase, table);
-  return MontExpWithTable(table, exp);
+  PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
+  if (exp.IsZero()) return r_mod_;
+  return WithKernel<17>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    LoadResidue(mbase, modulus_, ws[1]);
+    FillWindowTable(kern, ws[0]);
+    WindowLadder(kern, ws[0], exp, ws[16]);
+    return FromLimbs(ws[16], k_);
+  });
 }
 
 BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exp) const {
   PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
   if (exp.IsZero()) return BigInt(1).Mod(modulus_);
-  const BigInt mbase = ToMontgomery(base.Mod(modulus_));
-  return FromMontgomery(MontExp(mbase, exp));
+  return WithKernel<18>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
+    uint64_t* conv = ws[17];  // R^2 going in, 1 coming out
+    LoadResidue(base, modulus_, ws[1]);
+    CopyLimbs(r2_mod_, conv, k_);
+    kern.Mul(ws[1], ws[1], conv);
+    FillWindowTable(kern, ws[0]);
+    WindowLadder(kern, ws[0], exp, ws[16]);
+    CopyLimbs(BigInt(1), conv, k_);
+    kern.Mul(ws[16], ws[16], conv);
+    return FromLimbs(ws[16], k_);
+  });
 }
 
 }  // namespace pivot

@@ -132,6 +132,13 @@ struct DivModResult {
 // Precomputed Montgomery-domain context for repeated modular
 // multiplication / exponentiation against a fixed odd modulus. Paillier
 // encryption and (threshold) decryption construct one per modulus.
+//
+// Operands may be any integer: a value outside [0, m) (negative, or m and
+// above however wide, e.g. a peer-supplied ciphertext) is reduced mod m
+// first, and values in [0, m) are used as they are. Every result is the
+// unique representative in [0, m). The kernels run on fixed-width limb
+// arrays for the widths this repository's moduli have and at a runtime
+// width otherwise; see bigint.cc.
 class MontgomeryContext {
  public:
   // REQUIRES: modulus odd and > 1.
@@ -139,20 +146,21 @@ class MontgomeryContext {
 
   const BigInt& modulus() const { return modulus_; }
 
-  // a * b mod m via Montgomery REDC; a, b in [0, m).
+  // a * b mod m.
   BigInt ModMul(const BigInt& a, const BigInt& b) const;
-  // base^exp mod m with a fixed 4-bit window; base in [0, m), exp >= 0.
+  // base^exp mod m with a fixed 4-bit window; exp >= 0.
   BigInt ModExp(const BigInt& base, const BigInt& exp) const;
 
   // ----- Montgomery-domain primitives ------------------------------------
   // Exposed so batch kernels can keep long chains of multiplications in
   // the Montgomery domain and convert out once at the end (the per-term
   // To/FromMontgomery round-trip is the dominant cost of a homomorphic
-  // dot product; see crypto/paillier.cc). A "mont" value is a·R mod m.
+  // dot product; see crypto/paillier.cc). A "mont" value is a·R mod m,
+  // R = 2^(64·limbs(m)).
 
   BigInt ToMontgomery(const BigInt& a) const;
   BigInt FromMontgomery(const BigInt& a) const;
-  // Montgomery product of two Montgomery-domain values.
+  // Montgomery product a·b·R^-1 mod m of two Montgomery-domain values.
   BigInt MontMul(const BigInt& a, const BigInt& b) const;
   // Montgomery representation of 1 (R mod m), the neutral accumulator.
   const BigInt& MontOne() const { return r_mod_; }
@@ -166,6 +174,9 @@ class MontgomeryContext {
   BigInt MontExpWithTable(const BigInt table[16], const BigInt& exp) const;
 
  private:
+  // The BigInt of k little-endian limbs.
+  static BigInt FromLimbs(const uint64_t* limbs, size_t k);
+
   BigInt modulus_;
   size_t k_;            // number of limbs in modulus
   uint64_t n_prime_;    // -modulus^{-1} mod 2^64

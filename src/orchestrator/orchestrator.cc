@@ -120,7 +120,9 @@ void Orchestrator::DrainControl(int64_t now_ms) {
       if (line.rfind("READY nonce=", 0) == 0) {
         supervisor_->NoteReady(p, line.substr(12), now_ms);
       } else if (!line.empty()) {
-        // HELLO / ALIVE / BYE all count as liveness for the stall clock.
+        // HELLO / ALIVE / FAILED / BYE all count as liveness for the
+        // stall clock.
+        if (line.rfind("FAILED ", 0) == 0) io.failed = line.substr(7);
         supervisor_->NoteControl(p, now_ms);
       }
     }
@@ -140,9 +142,17 @@ void Orchestrator::ReapAll(int64_t now_ms) {
     }
     const int code = ev.value().exited ? ev.value().exit_code
                                        : 128 + ev.value().signal;
+    // The party wrote its FAILED line before exiting, so after the reap
+    // it is in the pipe.
+    DrainControl(now_ms);
+    std::string detail = ev.value().Describe();
+    if (!io_[party].failed.empty()) {
+      detail += ": " + io_[party].failed;
+      io_[party].failed.clear();
+    }
     std::fprintf(stderr, "orchestrator: party %d (pid %d) %s\n", party,
-                 ev.value().pid, ev.value().Describe().c_str());
-    supervisor_->NoteExited(party, code, ev.value().Describe(), now_ms);
+                 ev.value().pid, detail.c_str());
+    supervisor_->NoteExited(party, code, detail, now_ms);
   }
 }
 

@@ -105,6 +105,7 @@ class Orchestrator {
     Pipe control;        // child writes, orchestrator reads (non-blocking)
     Pipe go;             // orchestrator writes, child reads
     std::string buffer;  // partial control line carried across reads
+    std::string failed;  // text of the last FAILED line, until its exit
   };
 
   Result<int> SpawnParty(int party);

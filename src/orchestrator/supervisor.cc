@@ -42,6 +42,14 @@ ProcessSupervisor::ProcessSupervisor(int num_parties,
 
 Status ProcessSupervisor::HandleCrashLocked(PartySlot& slot, int party,
                                             int64_t now_ms) {
+  if (slot.last_exit_code == kConfigErrorExit) {
+    slot.phase = PartyPhase::kFailed;
+    return Status::InvalidArgument(
+        "party " + std::to_string(party) +
+        " failed on a configuration error (" + slot.last_exit +
+        "); a restart would fail the same way, tearing the federation "
+        "down");
+  }
   if (slot.restarts >= config_.max_restarts) {
     slot.phase = PartyPhase::kFailed;
     return Status::ProtocolError(

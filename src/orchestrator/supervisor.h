@@ -112,6 +112,12 @@ enum class PartyPhase {
 
 const char* PartyPhaseName(PartyPhase phase);
 
+// Exit code of a party whose run failed on its configuration (`pivot_cli
+// party` on InvalidArgument or FailedPrecondition, e.g. labels out of
+// range). A relaunch would fail the same way, so the supervisor escalates
+// at once: no respawn, no restart budget spent.
+inline constexpr int kConfigErrorExit = 5;
+
 // Snapshot of one party's supervision state, for reports and tests.
 struct PartyStatus {
   PartyPhase phase = PartyPhase::kIdle;
@@ -193,7 +199,8 @@ class ProcessSupervisor {
   };
 
   // Marks an abnormal exit: either schedules a respawn (budget left) or
-  // flips to kFailed and returns the escalation status.
+  // flips to kFailed and returns the escalation status. A configuration
+  // error (kConfigErrorExit) always fails, without spending the budget.
   Status HandleCrashLocked(PartySlot& slot, int party, int64_t now_ms);
   // Respawn time for a budget-free generation-restart exit: no earlier
   // than any pending respawn, so the generation cold-starts together.

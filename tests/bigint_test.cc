@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bigint/prime.h"
 #include "common/rng.h"
@@ -327,6 +328,194 @@ TEST(MontgomeryTest, ExpEdgeCases) {
   EXPECT_EQ(ctx.ModExp(BigInt(5), BigInt(1)).ToI64().value(), 5);
   EXPECT_TRUE(ctx.ModExp(BigInt(0), BigInt(5)).IsZero());
   EXPECT_TRUE(ctx.ModExp(BigInt(96), BigInt(96)).IsOne());  // Fermat
+}
+
+// ----- Differential tests of the fixed-width Montgomery kernels ----------
+// Every width the kernels are instantiated for (n^2 of 128- to 1024-bit
+// Paillier keys; the 1536-bit PSI group) and three runtime widths, against
+// schoolbook multiplication and division.
+
+constexpr size_t kKernelWidths[] = {4, 6, 8, 10, 12, 16, 24, 32, 1, 5, 40};
+
+BigInt Pow2(size_t bits) { return BigInt(1) << static_cast<int>(bits); }
+
+// x^e mod m by schoolbook square-and-multiply (no Montgomery arithmetic).
+BigInt SchoolbookModExp(const BigInt& x, const BigInt& e, const BigInt& m) {
+  const BigInt base = x.Mod(m);
+  BigInt acc = BigInt(1).Mod(m);
+  for (int i = e.BitLength() - 1; i >= 0; --i) {
+    acc = (acc * acc).Mod(m);
+    if (e.TestBit(i)) acc = (acc * base).Mod(m);
+  }
+  return acc;
+}
+
+// Odd moduli of exactly `limbs` limbs: random, top limb 1, every limb all
+// ones (the shape of the MODP prime's ends).
+std::vector<BigInt> KernelModuli(size_t limbs, Rng& rng) {
+  const size_t bits = 64 * limbs;
+  BigInt random = BigInt::RandomBits(static_cast<int>(bits) - 1, rng) +
+                  Pow2(bits - 1);
+  if (!random.IsOdd()) random = random + BigInt(1);
+  std::vector<BigInt> moduli = {random, Pow2(bits) - BigInt(1)};
+  if (limbs > 1) {
+    BigInt top_one = Pow2(bits - 64) +
+                     BigInt::RandomBits(static_cast<int>(bits) - 64, rng);
+    if (!top_one.IsOdd()) top_one = top_one + BigInt(1);
+    moduli.push_back(top_one);
+  }
+  return moduli;
+}
+
+// Operands: 0, 1, m - 1, one- and two-limb values, and random values in
+// [0, m).
+std::vector<BigInt> KernelOperands(const BigInt& m, Rng& rng) {
+  std::vector<BigInt> ops = {BigInt(0), BigInt(1), m - BigInt(1),
+                             BigInt::RandomBits(64, rng).Mod(m),
+                             BigInt::RandomBits(128, rng).Mod(m)};
+  for (int i = 0; i < 3; ++i) ops.push_back(BigInt::RandomBelow(m, rng));
+  return ops;
+}
+
+// Exponents: 0, 1, 2, 15, 16, values whose 4-bit windows are all zero
+// below the top one, one with a zero window run in the middle, and random
+// ones of up to three limbs.
+std::vector<BigInt> KernelExponents(Rng& rng) {
+  std::vector<BigInt> exps = {BigInt(0),  BigInt(1),   BigInt(2),
+                              BigInt(15), BigInt(16),  Pow2(64),
+                              Pow2(131),  Pow2(130) + BigInt(1)};
+  for (int bits : {7, 64, 65, 150}) {
+    exps.push_back(BigInt::RandomBits(bits, rng));
+  }
+  return exps;
+}
+
+TEST(MontgomeryKernelTest, MulMatchesSchoolbookAtEveryWidth) {
+  Rng rng(1201);
+  for (size_t limbs : kKernelWidths) {
+    for (const BigInt& m : KernelModuli(limbs, rng)) {
+      MontgomeryContext ctx(m);
+      const BigInt r_inv = Pow2(64 * limbs).ModInverse(m).value();
+      const std::vector<BigInt> ops = KernelOperands(m, rng);
+      for (const BigInt& a : ops) {
+        for (const BigInt& b : ops) {
+          const BigInt ab = (a * b).Mod(m);
+          EXPECT_EQ(ctx.ModMul(a, b), ab) << "limbs=" << limbs;
+          EXPECT_EQ(ctx.MontMul(a, b), (ab * r_inv).Mod(m))
+              << "limbs=" << limbs;
+        }
+        const BigInt ma = ctx.ToMontgomery(a);
+        EXPECT_EQ(ma, (a * Pow2(64 * limbs)).Mod(m)) << "limbs=" << limbs;
+        EXPECT_EQ(ctx.FromMontgomery(ma), a) << "limbs=" << limbs;
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernelTest, SquaringEqualsMulOfOperandWithItself) {
+  // MontExp(x, 2) is one squaring; table[2] and table[4] of the window
+  // table are squarings too.
+  Rng rng(1202);
+  for (size_t limbs : kKernelWidths) {
+    for (const BigInt& m : KernelModuli(limbs, rng)) {
+      MontgomeryContext ctx(m);
+      for (const BigInt& x : KernelOperands(m, rng)) {
+        const BigInt x2 = ctx.MontMul(x, x);
+        EXPECT_EQ(ctx.MontExp(x, BigInt(2)), x2) << "limbs=" << limbs;
+        BigInt table[16];
+        ctx.BuildWindowTable(x, table);
+        EXPECT_EQ(table[2], x2) << "limbs=" << limbs;
+        EXPECT_EQ(table[4], ctx.MontMul(x2, x2)) << "limbs=" << limbs;
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernelTest, ExpMatchesRepeatedModMulAtEveryWidth) {
+  Rng rng(1203);
+  for (size_t limbs : kKernelWidths) {
+    for (const BigInt& m : KernelModuli(limbs, rng)) {
+      MontgomeryContext ctx(m);
+      const std::vector<BigInt> exps = KernelExponents(rng);
+      for (const BigInt& x : KernelOperands(m, rng)) {
+        const BigInt mx = ctx.ToMontgomery(x);
+        BigInt table[16];
+        ctx.BuildWindowTable(mx, table);
+        for (int w = 0; w < 16; ++w) {
+          EXPECT_EQ(table[w], ctx.ToMontgomery(
+                                  SchoolbookModExp(x, BigInt(w), m)))
+              << "limbs=" << limbs << " w=" << w;
+        }
+        for (const BigInt& e : exps) {
+          const BigInt want = SchoolbookModExp(x, e, m);
+          EXPECT_EQ(ctx.ModExp(x, e), want)
+              << "limbs=" << limbs << " e=" << e.ToHexString();
+          EXPECT_EQ(x.ModExp(e, m), want) << "limbs=" << limbs;
+          EXPECT_EQ(ctx.FromMontgomery(ctx.MontExp(mx, e)), want)
+              << "limbs=" << limbs << " e=" << e.ToHexString();
+          EXPECT_EQ(ctx.FromMontgomery(ctx.MontExpWithTable(table, e)), want)
+              << "limbs=" << limbs << " e=" << e.ToHexString();
+        }
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernelTest, ModpGroupExpMatchesRepeatedModMul) {
+  // The PSI group: RFC 3526's 1536-bit MODP prime, 24 limbs whose top and
+  // bottom limbs are all ones, with full-width exponents.
+  const BigInt p =
+      BigInt::FromHexString(
+          "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
+          "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
+          "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
+          "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
+          "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
+          "9ed529077096966d670c354e4abc9804f1746c08ca237327ffffffffffffffff")
+          .value();
+  ASSERT_EQ(p.limbs().size(), 24u);
+  MontgomeryContext ctx(p);
+  Rng rng(1204);
+  for (int i = 0; i < 3; ++i) {
+    const BigInt x = BigInt::RandomBelow(p, rng);
+    const BigInt e = BigInt::RandomBits(1535, rng);
+    EXPECT_EQ(ctx.ModExp(x, e), SchoolbookModExp(x, e, p));
+  }
+  // Fermat: x^(p-1) = 1.
+  EXPECT_TRUE(ctx.ModExp(BigInt(2), p - BigInt(1)).IsOne());
+}
+
+TEST(MontgomeryKernelTest, OperandsOutsideTheModulusAreReducedFirst) {
+  // Negative operands and operands wider than the modulus act as their
+  // residue mod m: never truncated to the low limbs, never stripped of
+  // their sign.
+  Rng rng(1205);
+  for (size_t limbs : kKernelWidths) {
+    for (const BigInt& m : KernelModuli(limbs, rng)) {
+      MontgomeryContext ctx(m);
+      const BigInt wide = Pow2(64 * limbs) + BigInt::RandomBits(70, rng);
+      for (const BigInt& a : KernelOperands(m, rng)) {
+        const BigInt b = BigInt::RandomBelow(m, rng);
+        for (const BigInt& alias :
+             {a + m, a + m * wide, a + wide, a - m, -a, -(a + wide)}) {
+          const BigInt residue = alias.Mod(m);
+          EXPECT_EQ(ctx.MontMul(alias, b), ctx.MontMul(residue, b))
+              << "limbs=" << limbs;
+          EXPECT_EQ(ctx.MontMul(b, alias), ctx.MontMul(b, residue))
+              << "limbs=" << limbs;
+          EXPECT_EQ(ctx.ModMul(alias, b), (residue * b).Mod(m))
+              << "limbs=" << limbs;
+          EXPECT_EQ(ctx.ToMontgomery(alias), ctx.ToMontgomery(residue))
+              << "limbs=" << limbs;
+          EXPECT_EQ(ctx.FromMontgomery(alias), ctx.FromMontgomery(residue))
+              << "limbs=" << limbs;
+          EXPECT_EQ(ctx.MontExp(alias, BigInt(77)),
+                    ctx.MontExp(residue, BigInt(77)))
+              << "limbs=" << limbs;
+        }
+      }
+    }
+  }
 }
 
 TEST(PrimeTest, SmallPrimesRecognized) {

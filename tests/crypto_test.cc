@@ -527,6 +527,35 @@ TEST_F(PaillierBatchTest, CombineBatchRejectsBadShapes) {
   EXPECT_FALSE(CombinePartialDecryptionsBatch(keys_->pk, ragged, 3, 1).ok());
 }
 
+TEST_F(PaillierBatchTest, CombineBatchTakesPeerPartialsModNSquared) {
+  // A peer's partial is any integer to the combiner, which works on its
+  // residue mod n^2. p + c·n^2, wider than n^2 with low limbs that are not
+  // those of p, opens to the same plaintexts as p. -p is a different
+  // residue and fails the L-check. Neither is truncated to its low limbs
+  // nor stripped of its sign.
+  const std::vector<BigInt> plains = SomePlains(3, 111);
+  const std::vector<Ciphertext> cts = SomeCts(plains, 112);
+  std::vector<std::vector<BigInt>> partials;
+  for (const PartialKey& key : keys_->partial_keys) {
+    partials.push_back(PartialDecryptBatch(keys_->pk, key, cts, 1).value());
+  }
+  Rng rng(113);
+  const BigInt c = (BigInt(1) << 100) + BigInt::RandomBits(100, rng);
+  std::vector<std::vector<BigInt>> wide = partials;
+  for (BigInt& p : wide[0]) p = p + c * keys_->pk.n_squared();
+  Result<std::vector<BigInt>> opened =
+      CombinePartialDecryptionsBatch(keys_->pk, wide, 3, 1);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value(), plains);
+
+  std::vector<std::vector<BigInt>> negated = partials;
+  for (BigInt& p : negated[0]) p = -p;
+  Result<std::vector<BigInt>> rejected =
+      CombinePartialDecryptionsBatch(keys_->pk, negated, 3, 1);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kIntegrityError);
+}
+
 TEST_F(PaillierBatchTest, SumCiphertextsMatchesAddFold) {
   for (size_t count : kSizeSweep) {
     const std::vector<BigInt> plains = SomePlains(count, 101);

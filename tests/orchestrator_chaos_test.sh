@@ -14,7 +14,10 @@
 #      deterministically and also converge to the same fingerprint;
 #   4. a kill schedule that exhausts one party's restart budget tears
 #      the federation down before its deadline and names that party as
-#      the root cause in report.json.
+#      the root cause in report.json;
+#   5. a configuration error (regression labels with |y| >= 63) fails
+#      the run at once: no party is respawned, and report.json names the
+#      error.
 #
 # Usage: orchestrator_chaos_test.sh /path/to/pivot_cli
 set -eu
@@ -129,9 +132,12 @@ key_bits = 256
 max_restarts = 1
 EOF
 RC=0
+# Two kills exhaust a budget of 1; the later ones cover a kill that finds
+# party 1 between processes. They must land before a restarted run can
+# finish (about 2.5 s after a kill at 500 ms).
 "$CLI" orchestrate --spec fed_budget.spec --workdir "$DIR/budget" \
-    --faults "500:kill:1;2500:kill:1;4500:kill:1" --deadline-ms 60000 \
-    > budget.out 2> budget.log || RC=$?
+    --faults "300:kill:1;900:kill:1;1500:kill:1;2100:kill:1" \
+    --deadline-ms 60000 > budget.out 2> budget.log || RC=$?
 if [ "$RC" -ne 1 ]; then
   echo "FAIL: budget exhaustion run exited $RC, want 1"
   tail -n 10 budget.log
@@ -155,4 +161,41 @@ if grep -q 'deadline.*exceeded' "$DIR/budget/report.json"; then
 fi
 echo "   torn down with root_cause_party=1"
 
-echo "PASS: orchestrated chaos tier 3 (kills, seeds, budget exhaustion)"
+echo "== configuration error fails without restarts =="
+# Regression labels up to |y| = 78; every party's run rejects them with
+# InvalidArgument before training starts.
+awk -F, 'BEGIN { OFS = "," } { $7 = (NR % 2 ? 78 : -12) + NR / 10; print }' \
+    train.csv > labels.csv
+cat > fed_labels.spec <<EOF
+parties = 3
+data = $DIR/labels.csv
+out = model
+task = regression
+depth = 2
+key_bits = 256
+EOF
+RC=0
+"$CLI" orchestrate --spec fed_labels.spec --workdir "$DIR/labels" \
+    --deadline-ms 60000 > labels.out 2> labels.log || RC=$?
+if [ "$RC" -ne 1 ]; then
+  echo "FAIL: configuration-error run exited $RC, want 1"
+  tail -n 10 labels.log
+  exit 1
+fi
+if ! grep -q '"root_cause": "party [0-2] failed on a configuration error.*regression labels must satisfy' \
+    "$DIR/labels/report.json"; then
+  echo "FAIL: report.json does not name the configuration error"
+  cat "$DIR/labels/report.json"
+  exit 1
+fi
+for i in 0 1 2; do
+  if [ "$(restarts_of "$DIR/labels" $i)" -ne 0 ]; then
+    echo "FAIL: party $i was restarted after a configuration error"
+    cat "$DIR/labels/report.json"
+    exit 1
+  fi
+done
+echo "   failed at once, root cause: configuration error"
+
+echo "PASS: orchestrated chaos tier 3 (kills, seeds, budget exhaustion," \
+     "configuration error)"

@@ -461,6 +461,30 @@ TEST(ProcessSupervisorTest, BudgetExhaustionEscalatesNamingTheParty) {
   EXPECT_EQ(sup.Describe(0).phase, PartyPhase::kFailed);
 }
 
+TEST(ProcessSupervisorTest, ConfigErrorEscalatesWithoutRespawnOrBudget) {
+  // A run that failed on its configuration fails the same way on every
+  // relaunch: no respawn, no generation restart of its peers, no budget
+  // spent, and the escalation carries the party's error.
+  RecordingCallbacks rec;
+  ProcessSupervisor sup(3, FastConfig(), rec.Bind());
+  RunToTraining(sup, rec, 0);
+  const std::string detail =
+      "exit code 5: InvalidArgument: regression labels must satisfy |y| < 63";
+  sup.NoteExited(1, kConfigErrorExit, detail, 100);
+  ASSERT_EQ(rec.escalations.size(), 1u);
+  EXPECT_EQ(rec.escalations[0].first, 1);
+  EXPECT_EQ(rec.escalations[0].second.code(), StatusCode::kInvalidArgument);
+  const std::string msg = rec.escalations[0].second.message();
+  EXPECT_NE(msg.find("configuration error"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(detail), std::string::npos) << msg;
+  EXPECT_TRUE(rec.restarts.empty());
+  EXPECT_TRUE(sup.AnyFailed());
+  EXPECT_EQ(sup.Describe(1).phase, PartyPhase::kFailed);
+  EXPECT_EQ(sup.Describe(1).restarts, 0);
+  sup.Tick(10'000);
+  EXPECT_EQ(rec.spawns.size(), 3u);  // the first launch only
+}
+
 TEST(ProcessSupervisorTest, ReadyTimeoutKillsALaunchingParty) {
   RecordingCallbacks rec;
   ProcessSupervisor sup(1, FastConfig(), rec.Bind());

@@ -36,10 +36,13 @@
 //       SIGTERM/SIGINT request a graceful shutdown: the mesh is aborted,
 //       the persisted checkpoint store already holds the latest snapshot,
 //       and the process exits with the distinct code 3 so a supervisor
-//       can tell "asked to stop" from "crashed". Under the orchestrator,
-//       --control-fd/--go-fd carry the readiness/liveness protocol: the
-//       party writes HELLO/READY/ALIVE/BYE lines and blocks at the
-//       readiness barrier until the orchestrator answers GO.
+//       can tell "asked to stop" from "crashed". A run that fails on its
+//       configuration (InvalidArgument or FailedPrecondition, e.g. labels
+//       out of range) exits with code 5: a relaunch would fail the same
+//       way. Under the orchestrator, --control-fd/--go-fd carry the
+//       readiness/liveness protocol: the party writes HELLO/READY/ALIVE/
+//       FAILED/BYE lines and blocks at the readiness barrier until the
+//       orchestrator answers GO.
 //
 //   pivot_cli orchestrate --spec federation.spec [--workdir DIR]
 //             [--faults SCHED | --chaos-seed N [--chaos-count K]
@@ -90,6 +93,24 @@ namespace {
 // (finished training) and 1 (failed), so the orchestrator can tell a
 // graceful shutdown from a crash when aggregating exit codes.
 constexpr int kGracefulShutdownExit = 3;
+
+// Exit code of a failed party run: orch::kConfigErrorExit when the same
+// command line would fail the same way again, 1 otherwise.
+int FailureExitCode(const Status& st) {
+  return st.code() == StatusCode::kInvalidArgument ||
+                 st.code() == StatusCode::kFailedPrecondition
+             ? orch::kConfigErrorExit
+             : 1;
+}
+
+// Reports a failed run to the orchestrator as one FAILED line (newlines
+// flattened), so its report can name the error rather than an exit code.
+void ReportFailure(int control_fd, const Status& st) {
+  if (control_fd < 0) return;
+  std::string line = st.ToString();
+  std::replace(line.begin(), line.end(), '\n', ' ');
+  (void)orch::WriteAll(control_fd, "FAILED " + line + "\n");
+}
 
 // Set by the SIGTERM/SIGINT handler; polled from the runner's supervisor
 // tick (which aborts the mesh, waking blocked receives within a
@@ -323,7 +344,8 @@ int RunParty(const Args& args) {
   Result<Dataset> data = LoadTrainInputs(args, &cfg, &opts);
   if (!data.ok()) {
     std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
-    return 1;
+    ReportFailure(control_fd, data.status());
+    return FailureExitCode(data.status());
   }
   const char* protocol =
       opts.protocol == Protocol::kEnhanced ? "enhanced" : "basic";
@@ -402,7 +424,11 @@ int RunParty(const Args& args) {
       },
       &net_stats);
   const int exit_code =
-      st.ok() ? 0 : (g_shutdown != 0 ? kGracefulShutdownExit : 1);
+      st.ok() ? 0
+              : (g_shutdown != 0 ? kGracefulShutdownExit : FailureExitCode(st));
+  if (exit_code != 0 && exit_code != kGracefulShutdownExit) {
+    ReportFailure(control_fd, st);
+  }
   if (control_fd >= 0) {
     (void)orch::WriteAll(control_fd,
                          "BYE code=" + std::to_string(exit_code) + "\n");
@@ -420,7 +446,7 @@ int RunParty(const Args& args) {
   if (!st.ok()) {
     std::fprintf(stderr, "party %d failed: %s\n", cfg.party_id,
                  st.ToString().c_str());
-    return 1;
+    return exit_code;
   }
   std::fprintf(stderr,
                "party %d done: %.2f MB sent in %llu messages; "
