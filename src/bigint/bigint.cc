@@ -524,40 +524,42 @@ BigInt BigInt::RandomBelow(const BigInt& bound, Rng& rng) {
 // ---------------------------------------------------------------------------
 // MontgomeryContext
 //
-// Every operation runs on k-limb arrays through Kernel<K>. K is the limb
-// count of one of the widths this repository's moduli have (n^2 of a 128-
-// to 1024-bit Paillier key, the 1536-bit PSI group); K = 0 runs the same
-// loops at the runtime width. A call dispatches on k_ once, keeps all its
-// values in one Workspace (stack arrays for a fixed width, one heap block
-// for a runtime width) and builds one BigInt at the end.
+// Every operation runs on k-limb arrays through one Kernel at the modulus'
+// runtime width k. A call keeps all its values in one Workspace (on the
+// stack for every modulus this repository uses) and builds one BigInt at
+// the end.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// kValues k-limb values, plus the 2k scratch limbs the runtime-width
-// kernel needs (a fixed-width kernel keeps its scratch in locals).
-template <size_t K, size_t kValues>
+// Limb storage for one call: `values` k-limb values plus the 2k scratch
+// limbs a kernel product needs, all starting at zero. Up to kStackLimbs
+// limbs (n^2 of a 1024-bit key; the 1536-bit PSI group is 24) it lives on
+// the stack; a wider modulus takes one heap block per call.
 class Workspace {
  public:
-  explicit Workspace(size_t k) : k_(k) {
-    if constexpr (K == 0) heap_.assign((kValues + 2) * k, 0);
-  }
+  static constexpr size_t kStackLimbs = 32;
+  static constexpr size_t kMaxValues = 18;
 
-  uint64_t* operator[](size_t i) { return base() + i * width(); }
-  uint64_t* scratch() { return base() + kValues * width(); }
-
- private:
-  size_t width() const { return K != 0 ? K : k_; }
-  uint64_t* base() {
-    if constexpr (K == 0) {
-      return heap_.data();
+  Workspace(size_t k, size_t values) : k_(k), values_(values) {
+    PIVOT_CHECK(values <= kMaxValues);
+    const size_t limbs = (values + 2) * k;
+    if (k > kStackLimbs) {
+      heap_.resize(limbs);
+      base_ = heap_.data();
     } else {
-      return stack_;
+      std::fill_n(stack_, limbs, 0);
     }
   }
 
+  uint64_t* operator[](size_t i) { return base_ + i * k_; }
+  uint64_t* scratch() { return base_ + values_ * k_; }
+
+ private:
   size_t k_;
-  uint64_t stack_[K == 0 ? 1 : kValues * K] = {};
+  size_t values_;
+  uint64_t stack_[(kMaxValues + 2) * kStackLimbs];
+  uint64_t* base_ = stack_;
   std::vector<uint64_t> heap_;
 };
 
@@ -598,19 +600,21 @@ struct Column {
 // limb q[i] that clears it, and columns k..2k hold the result, below 2n.
 // Summing each column in three registers keeps one carry chain per
 // product, where operand scanning stores a limb per product.
-template <size_t K>
 class Kernel {
  public:
-  Kernel(const uint64_t* n, uint64_t n_prime, size_t k, uint64_t* scratch)
-      : n_(n), n_prime_(n_prime), k_(k), scratch_(scratch) {}
+  // Runs in ws's scratch limbs.
+  Kernel(const BigInt& modulus, uint64_t n_prime, Workspace& ws)
+      : n_(modulus.limbs().data()),
+        n_prime_(n_prime),
+        k_(modulus.limbs().size()),
+        scratch_(ws.scratch()) {}
 
-  size_t k() const { return K != 0 ? K : k_; }
+  size_t k() const { return k_; }
 
   // r = a·b·R^-1 mod n.
   void Mul(uint64_t* r, const uint64_t* a, const uint64_t* b) const {
-    const size_t k = this->k();
-    uint64_t local[K == 0 ? 1 : 2 * K];
-    uint64_t* q = K != 0 ? local : scratch_;
+    const size_t k = k_;
+    uint64_t* q = scratch_;
     uint64_t* t = q + k;
     Column col;
     for (size_t i = 0; i < k; ++i) {
@@ -635,9 +639,8 @@ class Kernel {
   // (j < i - j) once, doubled, plus the diagonal: about half the
   // products of Mul(r, a, a), and equal to it bit for bit.
   void Sqr(uint64_t* r, const uint64_t* a) const {
-    const size_t k = this->k();
-    uint64_t local[K == 0 ? 1 : 2 * K];
-    uint64_t* q = K != 0 ? local : scratch_;
+    const size_t k = k_;
+    uint64_t* q = scratch_;
     uint64_t* t = q + k;
     Column col;
     for (size_t i = 0; i + 1 < 2 * k; ++i) {
@@ -666,7 +669,7 @@ class Kernel {
   // r = v - n if v >= n, else v, for v = hi·R + t < 2n. The subtraction
   // is a mask, not a branch.
   void ReduceOnce(uint64_t* r, const uint64_t* t, uint64_t hi) const {
-    const size_t k = this->k();
+    const size_t k = k_;
     uint64_t borrow = 0;
     for (size_t j = 0; j < k; ++j) {
       const u128 d = static_cast<u128>(t[j]) - n_[j] - borrow;
@@ -684,34 +687,8 @@ class Kernel {
   const uint64_t* n_;
   uint64_t n_prime_;
   size_t k_;
-  uint64_t* scratch_;  // 2k limbs; used only when K == 0
+  uint64_t* scratch_;  // 2k limbs
 };
-
-template <size_t K, size_t kValues, typename Fn>
-decltype(auto) RunKernel(const std::vector<uint64_t>& n, uint64_t n_prime,
-                         Fn& fn) {
-  Workspace<K, kValues> ws(n.size());
-  const Kernel<K> kern(n.data(), n_prime, n.size(), ws.scratch());
-  return fn(kern, ws);
-}
-
-// Calls fn(kernel, workspace) with the kernel for the modulus' width and a
-// workspace of kValues values.
-template <size_t kValues, typename Fn>
-decltype(auto) WithKernel(const BigInt& modulus, uint64_t n_prime, Fn&& fn) {
-  const std::vector<uint64_t>& n = modulus.limbs();
-  switch (n.size()) {
-    case 4: return RunKernel<4, kValues>(n, n_prime, fn);
-    case 6: return RunKernel<6, kValues>(n, n_prime, fn);
-    case 8: return RunKernel<8, kValues>(n, n_prime, fn);
-    case 10: return RunKernel<10, kValues>(n, n_prime, fn);
-    case 12: return RunKernel<12, kValues>(n, n_prime, fn);
-    case 16: return RunKernel<16, kValues>(n, n_prime, fn);
-    case 24: return RunKernel<24, kValues>(n, n_prime, fn);
-    case 32: return RunKernel<32, kValues>(n, n_prime, fn);
-    default: return RunKernel<0, kValues>(n, n_prime, fn);
-  }
-}
 
 // Copies v (0 <= v < 2^(64k)) into k zero-padded limbs.
 void CopyLimbs(const BigInt& v, uint64_t* out, size_t k) {
@@ -733,8 +710,7 @@ void LoadResidue(const BigInt& a, const BigInt& m, uint64_t* out) {
 }
 
 // table[w] = base^w (Montgomery domain) for w in [2, 16), from table[1].
-template <size_t K>
-void FillWindowTable(const Kernel<K>& kern, uint64_t* table) {
+void FillWindowTable(const Kernel& kern, uint64_t* table) {
   const size_t k = kern.k();
   for (size_t w = 2; w < 16; ++w) {
     if (w % 2 == 0) {
@@ -748,8 +724,7 @@ void FillWindowTable(const Kernel<K>& kern, uint64_t* table) {
 // acc = base^exp (Montgomery domain) for exp > 0, a fixed 4-bit window
 // ladder over table[w] = base^w, w in [1, 16). The top window is nonzero,
 // so the ladder starts from its table entry rather than from one.
-template <size_t K>
-void WindowLadder(const Kernel<K>& kern, const uint64_t* table,
+void WindowLadder(const Kernel& kern, const uint64_t* table,
                   const BigInt& exp, uint64_t* acc) {
   const size_t k = kern.k();
   const std::vector<uint64_t>& e = exp.limbs();
@@ -792,12 +767,12 @@ BigInt MontgomeryContext::FromLimbs(const uint64_t* limbs, size_t k) {
 }
 
 BigInt MontgomeryContext::MontMul(const BigInt& a, const BigInt& b) const {
-  return WithKernel<2>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    LoadResidue(a, modulus_, ws[0]);
-    LoadResidue(b, modulus_, ws[1]);
-    kern.Mul(ws[0], ws[0], ws[1]);
-    return FromLimbs(ws[0], k_);
-  });
+  Workspace ws(k_, 2);
+  const Kernel kern(modulus_, n_prime_, ws);
+  LoadResidue(a, modulus_, ws[0]);
+  LoadResidue(b, modulus_, ws[1]);
+  kern.Mul(ws[0], ws[0], ws[1]);
+  return FromLimbs(ws[0], k_);
 }
 
 BigInt MontgomeryContext::ToMontgomery(const BigInt& a) const {
@@ -811,62 +786,62 @@ BigInt MontgomeryContext::FromMontgomery(const BigInt& a) const {
 BigInt MontgomeryContext::ModMul(const BigInt& a, const BigInt& b) const {
   // MontMul(a·b·R^-1, R^2) = a·b: two products instead of a round trip
   // through the Montgomery domain.
-  return WithKernel<3>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    LoadResidue(a, modulus_, ws[0]);
-    LoadResidue(b, modulus_, ws[1]);
-    CopyLimbs(r2_mod_, ws[2], k_);
-    kern.Mul(ws[0], ws[0], ws[1]);
-    kern.Mul(ws[0], ws[0], ws[2]);
-    return FromLimbs(ws[0], k_);
-  });
+  Workspace ws(k_, 3);
+  const Kernel kern(modulus_, n_prime_, ws);
+  LoadResidue(a, modulus_, ws[0]);
+  LoadResidue(b, modulus_, ws[1]);
+  CopyLimbs(r2_mod_, ws[2], k_);
+  kern.Mul(ws[0], ws[0], ws[1]);
+  kern.Mul(ws[0], ws[0], ws[2]);
+  return FromLimbs(ws[0], k_);
 }
 
 void MontgomeryContext::BuildWindowTable(const BigInt& mbase,
                                          BigInt table[16]) const {
-  WithKernel<16>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    LoadResidue(mbase, modulus_, ws[1]);
-    FillWindowTable(kern, ws[0]);
-    table[0] = r_mod_;  // Montgomery representation of 1
-    for (size_t w = 1; w < 16; ++w) table[w] = FromLimbs(ws[w], k_);
-  });
+  Workspace ws(k_, 16);
+  const Kernel kern(modulus_, n_prime_, ws);
+  LoadResidue(mbase, modulus_, ws[1]);
+  FillWindowTable(kern, ws[0]);
+  table[0] = r_mod_;  // Montgomery representation of 1
+  for (size_t w = 1; w < 16; ++w) table[w] = FromLimbs(ws[w], k_);
 }
 
 BigInt MontgomeryContext::MontExpWithTable(const BigInt table[16],
                                            const BigInt& exp) const {
   PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
   if (exp.IsZero()) return r_mod_;
-  return WithKernel<17>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    for (size_t w = 1; w < 16; ++w) LoadResidue(table[w], modulus_, ws[w]);
-    WindowLadder(kern, ws[0], exp, ws[16]);
-    return FromLimbs(ws[16], k_);
-  });
+  Workspace ws(k_, 17);
+  const Kernel kern(modulus_, n_prime_, ws);
+  for (size_t w = 1; w < 16; ++w) LoadResidue(table[w], modulus_, ws[w]);
+  WindowLadder(kern, ws[0], exp, ws[16]);
+  return FromLimbs(ws[16], k_);
 }
 
 BigInt MontgomeryContext::MontExp(const BigInt& mbase, const BigInt& exp) const {
   PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
   if (exp.IsZero()) return r_mod_;
-  return WithKernel<17>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    LoadResidue(mbase, modulus_, ws[1]);
-    FillWindowTable(kern, ws[0]);
-    WindowLadder(kern, ws[0], exp, ws[16]);
-    return FromLimbs(ws[16], k_);
-  });
+  Workspace ws(k_, 17);
+  const Kernel kern(modulus_, n_prime_, ws);
+  LoadResidue(mbase, modulus_, ws[1]);
+  FillWindowTable(kern, ws[0]);
+  WindowLadder(kern, ws[0], exp, ws[16]);
+  return FromLimbs(ws[16], k_);
 }
 
 BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exp) const {
   PIVOT_CHECK_MSG(!exp.IsNegative(), "negative exponent");
   if (exp.IsZero()) return BigInt(1).Mod(modulus_);
-  return WithKernel<18>(modulus_, n_prime_, [&](const auto& kern, auto& ws) {
-    uint64_t* conv = ws[17];  // R^2 going in, 1 coming out
-    LoadResidue(base, modulus_, ws[1]);
-    CopyLimbs(r2_mod_, conv, k_);
-    kern.Mul(ws[1], ws[1], conv);
-    FillWindowTable(kern, ws[0]);
-    WindowLadder(kern, ws[0], exp, ws[16]);
-    CopyLimbs(BigInt(1), conv, k_);
-    kern.Mul(ws[16], ws[16], conv);
-    return FromLimbs(ws[16], k_);
-  });
+  Workspace ws(k_, 18);
+  const Kernel kern(modulus_, n_prime_, ws);
+  uint64_t* conv = ws[17];  // R^2 going in, 1 coming out
+  LoadResidue(base, modulus_, ws[1]);
+  CopyLimbs(r2_mod_, conv, k_);
+  kern.Mul(ws[1], ws[1], conv);
+  FillWindowTable(kern, ws[0]);
+  WindowLadder(kern, ws[0], exp, ws[16]);
+  CopyLimbs(BigInt(1), conv, k_);
+  kern.Mul(ws[16], ws[16], conv);
+  return FromLimbs(ws[16], k_);
 }
 
 }  // namespace pivot

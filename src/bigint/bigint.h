@@ -136,9 +136,8 @@ struct DivModResult {
 // Operands may be any integer: a value outside [0, m) (negative, or m and
 // above however wide, e.g. a peer-supplied ciphertext) is reduced mod m
 // first, and values in [0, m) are used as they are. Every result is the
-// unique representative in [0, m). The kernels run on fixed-width limb
-// arrays for the widths this repository's moduli have and at a runtime
-// width otherwise; see bigint.cc.
+// unique representative in [0, m). Each call runs on limb arrays (on the
+// stack up to 32 limbs) and builds one BigInt; see bigint.cc.
 class MontgomeryContext {
  public:
   // REQUIRES: modulus odd and > 1.

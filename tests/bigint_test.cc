@@ -330,9 +330,10 @@ TEST(MontgomeryTest, ExpEdgeCases) {
   EXPECT_TRUE(ctx.ModExp(BigInt(96), BigInt(96)).IsOne());  // Fermat
 }
 
-// ----- Differential tests of the fixed-width Montgomery kernels ----------
-// Every width the kernels are instantiated for (n^2 of 128- to 1024-bit
-// Paillier keys; the 1536-bit PSI group) and three runtime widths, against
+// ----- Differential tests of the Montgomery kernels ----------------------
+// The widths of this repository's moduli (n^2 of 128- to 1024-bit Paillier
+// keys, the last of them the widest kept on the stack; the 1536-bit PSI
+// group), 1 and 5 limbs, and 40 limbs (a heap workspace), against
 // schoolbook multiplication and division.
 
 constexpr size_t kKernelWidths[] = {4, 6, 8, 10, 12, 16, 24, 32, 1, 5, 40};

@@ -62,9 +62,19 @@ fingerprint() {
   sed -n 's/.*"model_fingerprint": "\([0-9a-f]*\)".*/\1/p' "$1/report.json"
 }
 
+# Prints a party's restart count from report.json and fails when the
+# report has no row for it. Call it in an assignment (R=$(restarts_of ..)),
+# so that set -e stops the script there; inside a test, an empty count
+# would make the comparison an error that `if` reads as false.
 restarts_of() {  # restarts_of <workdir> <party>
-  sed -n 's/.*"party": '"$2"', "phase": "[a-z-]*", "restarts": \([0-9]*\),.*/\1/p' \
-      "$1/report.json"
+  local r
+  r=$(sed -n 's/.*"party": '"$2"', "phase": "[a-z-]*", "restarts": \([0-9]*\),.*/\1/p' \
+      "$1/report.json")
+  if [ -z "$r" ]; then
+    echo "FAIL: $1/report.json has no restart count for party $2" >&2
+    exit 1
+  fi
+  echo "$r"
 }
 
 echo "== fault-free orchestrated run =="
@@ -95,12 +105,14 @@ for i in 0 1 2; do
 done
 # Restart attribution: the killed party burned budget, the collateral
 # generation restarts of its peers were free.
-if [ "$(restarts_of "$DIR/kill1" 1)" -lt 1 ]; then
+R0=$(restarts_of "$DIR/kill1" 0)
+R1=$(restarts_of "$DIR/kill1" 1)
+R2=$(restarts_of "$DIR/kill1" 2)
+if [ "$R1" -lt 1 ]; then
   echo "FAIL: killed party shows no restart in report.json"
   exit 1
 fi
-if [ "$(restarts_of "$DIR/kill1" 0)" -ne 0 ] || \
-   [ "$(restarts_of "$DIR/kill1" 2)" -ne 0 ]; then
+if [ "$R0" -ne 0 ] || [ "$R2" -ne 0 ]; then
   echo "FAIL: collateral restart burned a surviving party's budget"
   cat "$DIR/kill1/report.json"
   exit 1
@@ -189,7 +201,8 @@ if ! grep -q '"root_cause": "party [0-2] failed on a configuration error.*regres
   exit 1
 fi
 for i in 0 1 2; do
-  if [ "$(restarts_of "$DIR/labels" $i)" -ne 0 ]; then
+  R=$(restarts_of "$DIR/labels" $i)
+  if [ "$R" -ne 0 ]; then
     echo "FAIL: party $i was restarted after a configuration error"
     cat "$DIR/labels/report.json"
     exit 1
